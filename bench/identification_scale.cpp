@@ -6,13 +6,17 @@
 // Per scale n (default 10^3..10^5; --million adds 10^6):
 //   1. stream n trained-equivalent profiles into a mapped store file,
 //   2. mmap it back (heap delta measured around open()),
-//   3. build the IdentificationPlane and replay query windows through BOTH
-//      identify() and identify_exhaustive(), asserting identical argmax,
-//   4. record per-stage survivors + latency from the plane's obs::Registry,
+//   3. build the IdentificationPlane, time kTimedQueries identify() calls
+//      (latency percentiles from the raw samples), then replay a seeded
+//      sample of those windows through identify_exhaustive(), asserting
+//      identical argmax,
+//   4. record per-stage survivors + stage times from the plane's
+//      obs::Registry,
 //   5. spot-check bit-identity of mmap vs heap decision values.
 //
 // Hard assertions (exit 1 on violation):
-//   * cascade argmax == exhaustive argmax on every query, every scale;
+//   * cascade argmax == exhaustive argmax on every checked query, every
+//     scale;
 //   * >= 10x reduction in kernel_row invocations per window at n >= 10^5;
 //   * resident heap delta at n >= 10^5 is < 1/10 of the mapped file
 //     (profile storage lives in the mapping, not the heap);
@@ -38,12 +42,18 @@
 #include "index/mapped_store.h"
 #include "obs/registry.h"
 #include "synthetic/scale.h"
+#include "util/rng.h"
 #include "util/sparse_vector.h"
+#include "util/stats.h"
 #include "util/stopwatch.h"
 
 namespace {
 
 using wtp::bench::JsonBuilder;
+
+/// Cascade queries timed per scale: enough that p99 has 10 samples beyond
+/// it rather than being the maximum.
+constexpr std::size_t kTimedQueries = 1000;
 
 struct Options {
   std::vector<std::size_t> scales{1000, 10000, 100000};
@@ -179,41 +189,58 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
   const index::IdentificationPlane plane{store};
   const double plane_s = plane_watch.elapsed_seconds();
 
-  // Exhaustive fan-out is O(users) per query; cap total exhaustive work so
-  // the 10^5/10^6 points stay tractable on one core.
-  const std::size_t queries = std::min<std::size_t>(
-      200, std::max<std::size_t>(20, 2000000 / users));
+  // Windows are sampled before the timed loop; only identify() is timed.
+  const auto window_of = [&](std::size_t q) {
+    return population.sample_window((q * 997) % users, 0xbeef00 + q);
+  };
+  std::vector<util::SparseVector> windows;
+  windows.reserve(kTimedQueries);
+  for (std::size_t q = 0; q < kTimedQueries; ++q) windows.push_back(window_of(q));
 
-  std::size_t argmax_matches = 0;
+  std::vector<index::IdentificationResult> cascade(kTimedQueries);
+  std::vector<double> latency_us;
+  latency_us.reserve(kTimedQueries);
   double sum_overlap = 0.0, sum_centroid = 0.0, sum_gaussian = 0.0,
          sum_scored = 0.0;
   util::Stopwatch query_watch;
-  for (std::size_t q = 0; q < queries; ++q) {
-    const std::size_t true_user = (q * 997) % users;
-    const util::SparseVector window =
-        population.sample_window(true_user, 0xbeef00 + q);
+  for (std::size_t q = 0; q < kTimedQueries; ++q) {
+    util::Stopwatch call_watch;
+    cascade[q] = plane.identify(windows[q]);
+    latency_us.push_back(call_watch.elapsed_seconds() * 1e6);
+    sum_overlap += static_cast<double>(cascade[q].overlap_survivors);
+    sum_centroid += static_cast<double>(cascade[q].centroid_survivors);
+    sum_gaussian += static_cast<double>(cascade[q].gaussian_survivors);
+    sum_scored += static_cast<double>(cascade[q].scored);
+  }
+  const double query_s = query_watch.elapsed_seconds();
+  const double queries = static_cast<double>(kTimedQueries);
 
-    const index::IdentificationResult cascade = plane.identify(window);
+  // Exhaustive fan-out is O(users) per query; cap total exhaustive work so
+  // the 10^5/10^6 points stay tractable on one core.  The checked windows
+  // are a seeded sample of the timed ones.
+  const std::size_t checked = std::min<std::size_t>(
+      kTimedQueries, std::max<std::size_t>(20, 2000000 / users));
+  std::vector<std::size_t> order(kTimedQueries);
+  for (std::size_t q = 0; q < kTimedQueries; ++q) order[q] = q;
+  util::Rng rng{seed ^ users};
+  rng.shuffle(order);
+  std::size_t argmax_matches = 0;
+  for (std::size_t k = 0; k < checked; ++k) {
+    const std::size_t q = order[k];
     const index::IdentificationResult exhaustive =
-        plane.identify_exhaustive(window);
-
-    if (cascade.best == exhaustive.best &&
-        cascade.best_decision == exhaustive.best_decision) {
+        plane.identify_exhaustive(windows[q]);
+    if (cascade[q].best == exhaustive.best &&
+        cascade[q].best_decision == exhaustive.best_decision) {
       ++argmax_matches;
     } else {
       report.ok = false;
       std::fprintf(stderr,
                    "FAIL n=%zu q=%zu: cascade argmax %zu (%.17g) != "
                    "exhaustive %zu (%.17g)\n",
-                   users, q, cascade.best, cascade.best_decision,
+                   users, q, cascade[q].best, cascade[q].best_decision,
                    exhaustive.best, exhaustive.best_decision);
     }
-    sum_overlap += static_cast<double>(cascade.overlap_survivors);
-    sum_centroid += static_cast<double>(cascade.centroid_survivors);
-    sum_gaussian += static_cast<double>(cascade.gaussian_survivors);
-    sum_scored += static_cast<double>(cascade.scored);
   }
-  const double query_s = query_watch.elapsed_seconds();
 
   // --- 4. per-stage metrics from the plane's registry -------------------
   const obs::Snapshot snapshot = plane.registry().snapshot();
@@ -262,7 +289,7 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
   }
 
   // --- assertions --------------------------------------------------------
-  if (argmax_matches != queries) report.ok = false;
+  if (argmax_matches != checked) report.ok = false;
   const bool assert_scale = users >= 100000;
   if (assert_scale && reduction < 10.0) {
     report.ok = false;
@@ -287,15 +314,18 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
       users, build_s, open_s, plane_s,
       static_cast<double>(store.mapped_bytes()) / 1e6,
       static_cast<double>(heap_delta) / 1e6);
+  const double p50_us = util::quantile(latency_us, 0.50);
+  const double p99_us = util::quantile(latency_us, 0.99);
   std::printf(
-      "           %zu queries in %.2fs  argmax %zu/%zu  survivors "
-      "%.0f->%.0f->%.0f->%.0f  kernel_row/window %.1f vs %.0f (%.1fx)\n",
-      queries, query_s, argmax_matches, queries,
-      sum_overlap / static_cast<double>(queries),
-      sum_centroid / static_cast<double>(queries),
-      sum_gaussian / static_cast<double>(queries),
-      sum_scored / static_cast<double>(queries), cascade_per_window,
-      exhaustive_per_window, reduction);
+      "           %zu queries in %.2fs  identify p50 %.0f us  p99 %.0f us  "
+      "argmax %zu/%zu checked\n",
+      kTimedQueries, query_s, p50_us, p99_us, argmax_matches, checked);
+  std::printf(
+      "           survivors %.0f->%.0f->%.0f->%.0f  kernel_row/window %.1f vs "
+      "%.0f (%.1fx)\n",
+      sum_overlap / queries, sum_centroid / queries, sum_gaussian / queries,
+      sum_scored / queries, cascade_per_window, exhaustive_per_window,
+      reduction);
 
   json.begin_object();
   json.key("users").value(users);
@@ -305,22 +335,31 @@ ScaleReport run_scale(std::size_t users, std::uint64_t seed,
   json.key("build_seconds").value(build_s);
   json.key("open_seconds").value(open_s);
   json.key("plane_build_seconds").value(plane_s);
-  json.key("queries").value(queries);
+  json.key("queries").value(kTimedQueries);
+  json.key("checked_queries").value(checked);
   json.key("argmax_matches").value(argmax_matches);
   json.key("identity_checks").value(identity_checks);
   json.key("identity_failures").value(identity_failures);
   json.key("survivors").begin_object();
-  json.key("overlap").value(sum_overlap / static_cast<double>(queries));
-  json.key("centroid").value(sum_centroid / static_cast<double>(queries));
-  json.key("gaussian").value(sum_gaussian / static_cast<double>(queries));
-  json.key("scored").value(sum_scored / static_cast<double>(queries));
+  json.key("overlap").value(sum_overlap / queries);
+  json.key("centroid").value(sum_centroid / queries);
+  json.key("gaussian").value(sum_gaussian / queries);
+  json.key("scored").value(sum_scored / queries);
   json.end_object();
   json.key("kernel_row_per_window").begin_object();
   json.key("cascade").value(cascade_per_window);
   json.key("exhaustive").value(exhaustive_per_window);
   json.key("reduction").value(reduction);
   json.end_object();
-  emit_timer(json, "identify", find_timer(snapshot, "index.identify_ns"));
+  // identify latency from the raw samples; the stage timers below are
+  // registry histograms (exact means, bucketed percentiles).
+  json.key("identify").begin_object();
+  json.key("count").value(kTimedQueries);
+  json.key("mean_us").value(query_s * 1e6 / queries);
+  json.key("p50_us").value(p50_us);
+  json.key("p99_us").value(p99_us);
+  json.key("max_us").value(util::quantile(latency_us, 1.0));
+  json.end_object();
   emit_timer(json, "stage_overlap",
              find_timer(snapshot, "index.stage_ns{stage=overlap}"));
   emit_timer(json, "stage_centroid",

@@ -1,11 +1,14 @@
 #include "index/cascade.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
+#include <numeric>
 
 #include "features/schema.h"
 #include "svm/kernel.h"
+#include "util/bitset_view.h"
 
 namespace wtp::index {
 
@@ -17,33 +20,65 @@ double elapsed_ns(Clock::time_point start) {
   return std::chrono::duration<double, std::nano>(Clock::now() - start).count();
 }
 
-/// Per-thread scratch shared by every plane on the thread; the epoch tag
-/// makes stale per-user entries from other calls (or other planes) invisible
-/// without clearing.
+/// Per-thread scratch shared by every plane on the thread.
 struct Scratch {
   std::vector<double> dense;      ///< query scattered densely over columns
-  std::vector<float> score;       ///< per-user stage score
-  std::vector<std::uint32_t> hits;  ///< per-user stage-1 matching columns
-  std::vector<std::uint32_t> tag;   ///< epoch of the user's score/hits entry
-  std::vector<std::uint32_t> touched;
+  std::vector<float> score;       ///< per-user gate score (stages 2-3)
   std::vector<std::uint32_t> survivors;
-  std::uint32_t epoch = 0;
 };
 
 Scratch& scratch_for(std::size_t users, std::size_t dimension) {
   thread_local Scratch scratch;
   if (scratch.dense.size() < dimension) scratch.dense.resize(dimension, 0.0);
-  if (scratch.score.size() < users) {
-    scratch.score.resize(users, 0.0f);
-    scratch.hits.resize(users, 0);
-    scratch.tag.resize(users, 0);
-  }
-  ++scratch.epoch;
-  if (scratch.epoch == 0) {  // wrapped: stale tags could collide, clear them
-    std::fill(scratch.tag.begin(), scratch.tag.end(), 0u);
-    scratch.epoch = 1;
-  }
+  if (scratch.score.size() < users) scratch.score.resize(users, 0.0f);
   return scratch;
+}
+
+/// The best not yet merged hit count of one support-size class.
+struct ClassHead {
+  float score;
+  std::uint32_t cls;
+  std::uint32_t hits;
+};
+
+/// Per-thread scratch of the overlap stage.
+struct OverlapScratch {
+  std::vector<const std::uint64_t*> columns;  ///< the query's column bitsets
+  std::vector<std::uint64_t> planes;          ///< bit-sliced hit counts
+  std::vector<std::uint32_t> hist;      ///< per class, users with 0..q hits
+  std::vector<float> table;             ///< per class, score of 0..q hits
+  std::vector<std::uint64_t> mask;      ///< one class's selected positions
+  std::vector<ClassHead> heap;          ///< max-heap by score, one per class
+  std::vector<ClassHead> cutoff_group;  ///< the (class, hits) at the cutoff
+  std::vector<std::size_t> above_from;  ///< per class, lowest hits above it
+  std::vector<std::uint32_t> ties;      ///< users tied at the cutoff
+};
+
+/// The overlap kernels of the dispatched bitset backend.  With the bitset
+/// plane disabled for kernel dots (WTP_KERNEL_BACKEND=csr) the overlap stage
+/// still needs counts, so it takes the portable scalar set.
+const util::BitsetDotOps& overlap_ops() {
+  const util::BitsetDotOps* ops = svm::kernel_dispatch();
+  return ops != nullptr ? *ops : util::scalar_bitset_ops();
+}
+
+/// A query as index/value spans over thread-local buffers, valid until the
+/// next call on the same thread.
+struct QuerySpans {
+  std::span<const std::uint32_t> indices;
+  std::span<const double> values;
+};
+
+QuerySpans spans_of(const util::SparseVector& x) {
+  thread_local std::vector<std::uint32_t> indices;
+  thread_local std::vector<double> values;
+  indices.clear();
+  values.clear();
+  for (const auto& entry : x.entries()) {
+    indices.push_back(static_cast<std::uint32_t>(entry.index));
+    values.push_back(entry.value);
+  }
+  return {indices, values};
 }
 
 /// Shrinks `candidates` to its `keep` best by (score desc, index asc) — the
@@ -58,7 +93,7 @@ void keep_top(std::vector<std::uint32_t>& candidates,
   std::nth_element(candidates.begin(), candidates.begin() + (keep - 1),
                    candidates.end(), better);
   candidates.resize(keep);
-};
+}
 
 }  // namespace
 
@@ -121,7 +156,7 @@ void IdentificationPlane::build(const ProfileCatalog& catalog) {
   dimension_ = catalog.schema().dimension();
   prune_start_ = catalog.schema().group_offset(features::FeatureGroup::kCategory);
 
-  inv_sqrt_support_.resize(n, 0.0f);
+  std::vector<std::uint32_t> support(n, 0);  // identity columns per user
   mean_sqnorm_.resize(n, 0.0f);
   gauss_base_.resize(n, 0.0f);
   gate_offsets_.clear();
@@ -156,7 +191,7 @@ void IdentificationPlane::build(const ProfileCatalog& catalog) {
     const double inv_m = m > 0 ? 1.0 / static_cast<double>(m) : 0.0;
     double mean_sqnorm = 0.0;
     double gauss_base = 0.0;
-    std::size_t posting_cols = 0;
+    std::uint32_t identity_cols = 0;
     for (const std::uint32_t col : touched) {
       const double mean = sum[col] * inv_m;
       const double variance =
@@ -167,43 +202,242 @@ void IdentificationPlane::build(const ProfileCatalog& catalog) {
       gate_inv_var_.push_back(static_cast<float>(inv_var));
       mean_sqnorm += mean * mean;
       gauss_base += mean * mean * inv_var;
-      if (col >= prune_start_) ++posting_cols;
+      if (col >= prune_start_) ++identity_cols;
       sum[col] = 0.0;
       sum_sq[col] = 0.0;
       seen[col] = 0;
     }
     mean_sqnorm_[u] = static_cast<float>(mean_sqnorm);
     gauss_base_[u] = static_cast<float>(gauss_base);
-    inv_sqrt_support_[u] =
-        posting_cols > 0
-            ? static_cast<float>(1.0 / std::sqrt(static_cast<double>(posting_cols)))
-            : 0.0f;
+    support[u] = identity_cols;
     gate_offsets_.push_back(gate_cols_.size());
     touched.clear();
   }
 
-  // CSC posting lists over the identity columns: count, prefix-sum, fill.
-  // Users are appended in ascending order, so each list is sorted.
-  const std::size_t posting_cols = dimension_ - prune_start_;
-  std::vector<std::size_t> counts(posting_cols, 0);
-  for (const std::uint32_t col : gate_cols_) {
-    if (col >= prune_start_) ++counts[col - prune_start_];
+  // Class-major column bitsets: one class per distinct support size, each
+  // padded to whole words so a class is a contiguous word range of every
+  // column.
+  std::vector<std::uint32_t> sizes{support.begin(), support.end()};
+  std::sort(sizes.begin(), sizes.end());
+  sizes.erase(std::unique(sizes.begin(), sizes.end()), sizes.end());
+  const std::size_t classes = sizes.size();
+  std::vector<std::uint32_t> class_of(dimension_ + 1, 0);
+  for (std::size_t c = 0; c < classes; ++c) {
+    class_of[sizes[c]] = static_cast<std::uint32_t>(c);
   }
-  posting_offsets_.assign(posting_cols + 1, 0);
-  for (std::size_t c = 0; c < posting_cols; ++c) {
-    posting_offsets_[c + 1] = posting_offsets_[c] + counts[c];
-  }
-  posting_users_.resize(posting_offsets_.back());
-  std::vector<std::size_t> cursor{posting_offsets_.begin(),
-                                  posting_offsets_.end() - 1};
-  for (std::size_t u = 0; u < n; ++u) {
-    for (std::size_t k = gate_offsets_[u]; k < gate_offsets_[u + 1]; ++k) {
-      const std::uint32_t col = gate_cols_[k];
-      if (col >= prune_start_) {
-        posting_users_[cursor[col - prune_start_]++] = static_cast<std::uint32_t>(u);
-      }
+  class_users_.assign(classes, 0);
+  for (std::size_t u = 0; u < n; ++u) ++class_users_[class_of[support[u]]];
+  class_word_.assign(classes + 1, 0);
+  class_inv_sqrt_.assign(classes, 0.0f);
+  for (std::size_t c = 0; c < classes; ++c) {
+    class_word_[c + 1] = class_word_[c] + (class_users_[c] + 63) / 64;
+    if (sizes[c] > 0) {
+      class_inv_sqrt_[c] = static_cast<float>(
+          1.0 / std::sqrt(static_cast<double>(sizes[c])));
     }
   }
+  column_words_ = class_word_.back();
+  position_user_.assign(column_words_ * 64, 0);
+  column_bits_.assign((dimension_ - prune_start_) * column_words_, 0);
+  std::vector<std::size_t> cursor(classes);
+  for (std::size_t c = 0; c < classes; ++c) cursor[c] = class_word_[c] * 64;
+  for (std::size_t u = 0; u < n; ++u) {
+    const std::size_t position = cursor[class_of[support[u]]]++;
+    position_user_[position] = static_cast<std::uint32_t>(u);
+    const std::uint64_t bit = std::uint64_t{1} << (position % 64);
+    std::uint64_t* word = column_bits_.data() + position / 64;
+    for (std::size_t k = gate_offsets_[u]; k < gate_offsets_[u + 1]; ++k) {
+      const std::uint32_t col = gate_cols_[k];
+      if (col >= prune_start_) word[(col - prune_start_) * column_words_] |= bit;
+    }
+  }
+}
+
+void IdentificationPlane::overlap_stage(
+    std::span<const std::uint32_t> query_indices,
+    std::span<const double> query_values, const util::BitsetDotOps& ops,
+    std::vector<std::uint32_t>& survivors) const {
+  // A user's score is 1/√s added once per hit (a query identity column in
+  // its support), so it is a function of (hits, class) alone.  The stage
+  // counts hits for every position, histograms them per class, finds the
+  // score of the keep-th best candidate from the histogram, and selects the
+  // users above it plus the lowest catalog indices among those tied at it:
+  // the same set keep_top's (score desc, index asc) order keeps.
+  const std::size_t n = catalog_->size();
+  const std::size_t keep =
+      config_.overlap_keep == 0 ? n : std::min(config_.overlap_keep, n);
+  thread_local OverlapScratch scratch;
+  survivors.clear();
+
+  auto& columns = scratch.columns;
+  columns.clear();
+  for (std::size_t k = 0; k < query_indices.size(); ++k) {
+    const std::uint32_t col = query_indices[k];
+    if (col < prune_start_ || col >= dimension_ || query_values[k] == 0.0) {
+      continue;
+    }
+    columns.push_back(column_bits_.data() +
+                      (col - prune_start_) * column_words_);
+  }
+  const std::size_t q = columns.size();
+  const std::size_t n_planes = static_cast<std::size_t>(std::bit_width(q));
+  std::uint64_t touched = 0;
+  const std::size_t classes = class_users_.size();
+  const std::size_t stride = q + 1;
+  auto& hist = scratch.hist;
+  if (q > 0) {
+    scratch.planes.resize(n_planes * column_words_);
+    ops.overlap_count(columns.data(), q, column_words_, n_planes,
+                      scratch.planes.data());
+    hist.assign(classes * stride, 0);
+    for (std::size_t c = 0; c < classes; ++c) {
+      std::uint32_t* row = hist.data() + c * stride;
+      ops.overlap_histogram(scratch.planes.data(), n_planes, column_words_,
+                            class_word_[c], class_word_[c + 1], q, row + 1);
+      std::uint32_t hit = 0;
+      for (std::size_t h = 1; h <= q; ++h) hit += row[h];
+      row[0] = class_users_[c] - hit;
+      touched += hit;
+    }
+  }
+  if (touched == 0) {
+    // No identity overlap anywhere: every user scores 0, so the index
+    // tie-break keeps the first ones — never a silent prune.
+    survivors.resize(keep);
+    std::iota(survivors.begin(), survivors.end(), 0u);
+    return;
+  }
+
+  // Users with fewer than min_overlap hits do not compete; when that would
+  // leave nobody, every touched user does.  min_overlap 0 ranks everyone.
+  std::size_t min_hits = config_.min_overlap;
+  std::uint64_t candidates = 0;
+  for (std::size_t c = 0; c < classes; ++c) {
+    for (std::size_t h = min_hits; h <= q; ++h) {
+      candidates += hist[c * stride + h];
+    }
+  }
+  if (candidates == 0) {
+    min_hits = 1;
+    candidates = touched;
+  }
+
+  // Appends up to `limit` users of class c whose hits lie in [lo, hi], in
+  // ascending catalog order.  No count exceeds q, so "at least lo" passes
+  // hi = kAll and the select kernels skip the upper comparison.
+  constexpr std::size_t kAll = std::numeric_limits<std::size_t>::max();
+  const auto emit = [&](std::size_t c, std::size_t lo, std::size_t hi,
+                        std::size_t limit, std::vector<std::uint32_t>& out) {
+    const std::size_t begin = class_word_[c];
+    const std::size_t words = class_word_[c + 1] - begin;
+    auto& mask = scratch.mask;
+    mask.resize(words);
+    ops.overlap_select(scratch.planes.data(), n_planes, column_words_, begin,
+                       begin + words, lo, hi, mask.data());
+    const std::size_t tail = class_users_[c] % 64;  // padding scores 0 hits
+    if (tail != 0) mask[words - 1] &= (std::uint64_t{1} << tail) - 1;
+    const std::uint32_t* users = position_user_.data() + begin * 64;
+    for (std::size_t w = 0; w < words && limit > 0; ++w) {
+      for (std::uint64_t bits = mask[w]; bits != 0 && limit > 0;
+           bits &= bits - 1, --limit) {
+        out.push_back(users[w * 64 + static_cast<std::size_t>(
+                                         std::countr_zero(bits))]);
+      }
+    }
+  };
+  if (candidates <= keep) {
+    for (std::size_t c = 0; c < classes; ++c) {
+      emit(c, min_hits, kAll, kAll, survivors);
+    }
+    return;
+  }
+
+  // Scores per (class, hits), summed exactly as a per-user accumulation
+  // would: 1/√s added `hits` times in float.
+  auto& table = scratch.table;
+  table.resize(classes * stride);
+  for (std::size_t c = 0; c < classes; ++c) {
+    float score = 0.0f;
+    table[c * stride] = 0.0f;
+    for (std::size_t h = 1; h <= q; ++h) {
+      score += class_inv_sqrt_[c];
+      table[c * stride + h] = score;
+    }
+  }
+
+  // Cutoff: merge the classes' (hits, score) lists from the top — each is
+  // sorted, since adding a positive float never lowers a sum — one score
+  // at a time, until the users at or above the score reach keep.
+  const auto lower = [](const ClassHead& a, const ClassHead& b) {
+    return a.score < b.score;
+  };
+  // Highest populated hit count of class c at or below `from`, or kNone.
+  constexpr std::size_t kNone = kAll;
+  const auto populated = [&](std::size_t c, std::size_t from) {
+    for (std::size_t h = from + 1; h-- > min_hits;) {
+      if (hist[c * stride + h] != 0) return h;
+    }
+    return kNone;
+  };
+  auto& heap = scratch.heap;
+  heap.clear();
+  for (std::size_t c = 0; c < classes; ++c) {
+    const std::size_t h = populated(c, q);
+    if (h != kNone) {
+      heap.push_back({table[c * stride + h], static_cast<std::uint32_t>(c),
+                      static_cast<std::uint32_t>(h)});
+    }
+  }
+  std::make_heap(heap.begin(), heap.end(), lower);
+  auto& above_from = scratch.above_from;
+  above_from.assign(classes, kNone);
+  auto& cutoff_group = scratch.cutoff_group;
+  std::size_t taken = 0;
+  while (!heap.empty()) {
+    const float cutoff = heap.front().score;
+    cutoff_group.clear();
+    std::size_t tied_users = 0;
+    while (!heap.empty() && heap.front().score == cutoff) {
+      std::pop_heap(heap.begin(), heap.end(), lower);
+      const ClassHead head = heap.back();
+      heap.pop_back();
+      cutoff_group.push_back(head);
+      tied_users += hist[head.cls * stride + head.hits];
+      if (head.hits > min_hits) {
+        const std::size_t h = populated(head.cls, head.hits - 1);
+        if (h != kNone) {
+          heap.push_back({table[head.cls * stride + h], head.cls,
+                          static_cast<std::uint32_t>(h)});
+          std::push_heap(heap.begin(), heap.end(), lower);
+        }
+      }
+    }
+    if (taken + tied_users >= keep) break;
+    taken += tied_users;
+    for (const ClassHead& head : cutoff_group) {
+      above_from[head.cls] = head.hits;
+    }
+  }
+
+  survivors.reserve(keep);
+  for (std::size_t c = 0; c < classes; ++c) {
+    if (above_from[c] != kNone) emit(c, above_from[c], kAll, kAll, survivors);
+  }
+  // Of the users tied at the cutoff, the lowest catalog indices fill the
+  // rest; each class yields its tied users in ascending index order.
+  const std::size_t room = keep - taken;
+  auto& ties = scratch.ties;
+  ties.clear();
+  for (const ClassHead& head : cutoff_group) {
+    emit(head.cls, head.hits, head.hits, room, ties);
+  }
+  if (ties.size() > room) {
+    std::nth_element(ties.begin(),
+                     ties.begin() + static_cast<std::ptrdiff_t>(room),
+                     ties.end());
+    ties.resize(room);
+  }
+  survivors.insert(survivors.end(), ties.begin(), ties.end());
 }
 
 IdentificationResult IdentificationPlane::score_survivors(
@@ -237,53 +471,10 @@ IdentificationResult IdentificationPlane::identify(
   Scratch& scratch = scratch_for(n, dimension_);
   metrics_->windows->add();
 
-  // Stage 1: posting-list overlap.
+  // Stage 1: support overlap over the column bitsets.
   auto stage_start = Clock::now();
-  scratch.touched.clear();
-  for (std::size_t k = 0; k < query_indices.size(); ++k) {
-    const std::uint32_t col = query_indices[k];
-    if (col < prune_start_ || col >= dimension_ || query_values[k] == 0.0) {
-      continue;
-    }
-    const std::size_t c = col - prune_start_;
-    const std::size_t begin = posting_offsets_[c];
-    const std::size_t end = posting_offsets_[c + 1];
-    for (std::size_t p = begin; p < end; ++p) {
-      const std::uint32_t u = posting_users_[p];
-      if (scratch.tag[u] != scratch.epoch) {
-        scratch.tag[u] = scratch.epoch;
-        scratch.score[u] = inv_sqrt_support_[u];
-        scratch.hits[u] = 1;
-        scratch.touched.push_back(u);
-      } else {
-        scratch.score[u] += inv_sqrt_support_[u];
-        ++scratch.hits[u];
-      }
-    }
-  }
   auto& survivors = scratch.survivors;
-  survivors.clear();
-  if (scratch.touched.empty() || config_.min_overlap == 0) {
-    // No identity overlap anywhere (or ranking disabled): every user passes,
-    // untouched ones with overlap score 0 — never a silent prune.
-    survivors.resize(n);
-    for (std::size_t u = 0; u < n; ++u) {
-      survivors[u] = static_cast<std::uint32_t>(u);
-      if (scratch.tag[u] != scratch.epoch) {
-        scratch.tag[u] = scratch.epoch;
-        scratch.score[u] = 0.0f;
-        scratch.hits[u] = 0;
-      }
-    }
-  } else {
-    for (const std::uint32_t u : scratch.touched) {
-      if (scratch.hits[u] >= config_.min_overlap) survivors.push_back(u);
-    }
-    if (survivors.empty()) {  // min_overlap filtered everyone: fall back
-      survivors.assign(scratch.touched.begin(), scratch.touched.end());
-    }
-  }
-  keep_top(survivors, scratch.score, config_.overlap_keep);
+  overlap_stage(query_indices, query_values, overlap_ops(), survivors);
   IdentificationResult result;
   result.stage_ns[0] = static_cast<std::int64_t>(elapsed_ns(stage_start));
   metrics_->stage_overlap->record_ns(static_cast<double>(result.stage_ns[0]));
@@ -364,16 +555,8 @@ IdentificationResult IdentificationPlane::identify(
 
 IdentificationResult IdentificationPlane::identify(
     const util::SparseVector& x) const {
-  const auto& entries = x.entries();
-  std::vector<std::uint32_t> indices;
-  std::vector<double> values;
-  indices.reserve(entries.size());
-  values.reserve(entries.size());
-  for (const auto& entry : entries) {
-    indices.push_back(static_cast<std::uint32_t>(entry.index));
-    values.push_back(entry.value);
-  }
-  return identify(indices, values, x.squared_norm());
+  const QuerySpans query = spans_of(x);
+  return identify(query.indices, query.values, x.squared_norm());
 }
 
 IdentificationResult IdentificationPlane::identify_exhaustive(
@@ -398,16 +581,18 @@ IdentificationResult IdentificationPlane::identify_exhaustive(
 
 IdentificationResult IdentificationPlane::identify_exhaustive(
     const util::SparseVector& x) const {
-  const auto& entries = x.entries();
-  std::vector<std::uint32_t> indices;
-  std::vector<double> values;
-  indices.reserve(entries.size());
-  values.reserve(entries.size());
-  for (const auto& entry : entries) {
-    indices.push_back(static_cast<std::uint32_t>(entry.index));
-    values.push_back(entry.value);
-  }
-  return identify_exhaustive(indices, values, x.squared_norm());
+  const QuerySpans query = spans_of(x);
+  return identify_exhaustive(query.indices, query.values, x.squared_norm());
+}
+
+std::vector<std::uint32_t> detail::overlap_survivors(
+    const IdentificationPlane& plane,
+    std::span<const std::uint32_t> query_indices,
+    std::span<const double> query_values) {
+  std::vector<std::uint32_t> survivors;
+  plane.overlap_stage(query_indices, query_values, overlap_ops(), survivors);
+  std::sort(survivors.begin(), survivors.end());
+  return survivors;
 }
 
 }  // namespace wtp::index

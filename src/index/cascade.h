@@ -7,16 +7,29 @@
 // support overlap a strong prune signal, so the plane runs four stages of
 // strictly increasing cost and strictly decreasing candidate count:
 //
-//   1. overlap   — inverted posting index over per-user support of the
-//                  bag-of-words identity columns (category/supertype/
-//                  subtype/application); score = Σ 1/√|support(u)| over
-//                  matching columns.  O(query nnz × mean posting length).
+//   1. overlap   — support overlap on the bag-of-words identity columns
+//                  (category/supertype/subtype/application): score =
+//                  Σ 1/√|support(u)| over the query's columns in u's
+//                  support, counted over per-column user bitsets.  The
+//                  work is O(query identity columns × users / 64) word
+//                  operations: linear in the population, but 64 users per
+//                  operation, and no per-user scatter or sort.
 //   2. centroid  — distance to the user's SV mean, sparse form of the
 //                  oneclass centroid gate (query-constant terms dropped).
 //   3. gaussian  — diagonal-covariance Mahalanobis distance over the user's
 //                  SV block, sparse form of the oneclass gaussian gate.
 //   4. svm       — full kernel_row decisions for the survivors only;
 //                  argmax over those decisions.
+//
+// Stage 1 never scores users one at a time.  A score is 1/√s added once
+// per hit (s = the user's identity-support size), a function of (hits, s)
+// alone, so the bitsets are laid out class-major: users grouped by s, each
+// class padded to whole 64-bit words (one bit per user per identity column,
+// 10.8 MB at 10^5 users).  Per query the stage counts hits 64 users per
+// word into bit-sliced counters, histograms them per class, finds the score
+// of the overlap_keep-th best candidate, and keeps the users above it plus
+// the lowest catalog indices tied at it — exactly the set a selection by
+// (score desc, catalog index asc) keeps.
 //
 // Stages 1-3 are rank-only: they choose WHICH users reach the SVMs, never
 // what those SVMs decide, so a cascade argmax can differ from the
@@ -29,13 +42,31 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <span>
 #include <vector>
 
 #include "index/mapped_store.h"
 #include "obs/registry.h"
 #include "util/sparse_vector.h"
 
+namespace wtp::util {
+struct BitsetDotOps;
+}
+
 namespace wtp::index {
+
+class IdentificationPlane;
+
+namespace detail {
+/// Stage 1 of identify() alone: the catalog indices that reach the centroid
+/// gate, ascending, computed with the dispatched bitset backend.  The seam
+/// the posting-walk oracle in tests/index is compared through.
+[[nodiscard]] std::vector<std::uint32_t> overlap_survivors(
+    const IdentificationPlane& plane,
+    std::span<const std::uint32_t> query_indices,
+    std::span<const double> query_values);
+}  // namespace detail
 
 struct CascadeConfig {
   /// Survivor budgets per stage; each stage keeps min(budget, incoming).
@@ -43,7 +74,7 @@ struct CascadeConfig {
   std::size_t overlap_keep = 1024;
   std::size_t centroid_keep = 256;
   std::size_t final_keep = 64;
-  /// Users with fewer than this many matching posting columns never enter
+  /// Users with fewer than this many matching identity columns never enter
   /// stage-1 ranking.  0 ranks every user (overlap stage only reorders).
   std::size_t min_overlap = 1;
   /// Variance floor of the gaussian gate (mirrors oneclass::GaussianModel).
@@ -73,8 +104,8 @@ struct IdentificationResult {
 
 class IdentificationPlane {
  public:
-  /// Builds posting lists and gate statistics over `catalog` (one pass over
-  /// every SV block).  The catalog must outlive the plane.
+  /// Builds the column bitsets and gate statistics over `catalog` (one pass
+  /// over every SV block).  The catalog must outlive the plane.
   IdentificationPlane(const ProfileCatalog& catalog, CascadeConfig config = {});
   ~IdentificationPlane();  // out-of-line: Metrics is incomplete here
 
@@ -99,8 +130,17 @@ class IdentificationPlane {
 
  private:
   struct Metrics;
+  friend std::vector<std::uint32_t> detail::overlap_survivors(
+      const IdentificationPlane&, std::span<const std::uint32_t>,
+      std::span<const double>);
 
   void build(const ProfileCatalog& catalog);
+  /// Stage 1: replaces `survivors` with the overlap stage's survivors, in
+  /// no particular order.
+  void overlap_stage(std::span<const std::uint32_t> query_indices,
+                     std::span<const double> query_values,
+                     const util::BitsetDotOps& ops,
+                     std::vector<std::uint32_t>& survivors) const;
   [[nodiscard]] IdentificationResult score_survivors(
       std::span<const std::uint32_t> survivors,
       std::span<const std::uint32_t> query_indices,
@@ -115,12 +155,19 @@ class IdentificationPlane {
   std::size_t dimension_ = 0;
   std::size_t prune_start_ = 0;  ///< first bag-of-words identity column
 
-  // Inverted index: posting_users_[posting_offsets_[c - prune_start_] ..
-  // posting_offsets_[c - prune_start_ + 1]) = users whose SV support
-  // includes column c (CSC-flattened, users ascending).
-  std::vector<std::size_t> posting_offsets_;
-  std::vector<std::uint32_t> posting_users_;
-  std::vector<float> inv_sqrt_support_;  ///< per user, 1/√(posting columns)
+  // Class-major column bitsets.  Users are grouped into classes by their
+  // identity-support size s (the number of identity columns in the SV
+  // support); class c owns words [class_word_[c], class_word_[c + 1]) of
+  // every column, its users at consecutive positions in ascending catalog
+  // order from the class's first bit, the rest of its last word padding.
+  // Bit p of column_bits_[(col - prune_start_) * column_words_ + p / 64]
+  // says whether the user at position p has col in its support.
+  std::size_t column_words_ = 0;
+  std::vector<std::uint64_t> column_bits_;
+  std::vector<std::size_t> class_word_;     ///< per class + 1 sentinel
+  std::vector<std::uint32_t> class_users_;  ///< users per class
+  std::vector<float> class_inv_sqrt_;       ///< per class, 1/√s (0 if s = 0)
+  std::vector<std::uint32_t> position_user_;  ///< catalog index per position
 
   // Per-user gate statistics over the SV block, SoA (f32: the gates only
   // rank, exact arithmetic lives in stage 4).  gate_cols_[gate_offsets_[u]

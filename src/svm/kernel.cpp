@@ -74,8 +74,8 @@ namespace {
 
 /// Sentinel for "bitset plane disabled" so the atomic can distinguish
 /// "not yet selected" (nullptr) from "selected: csr".
-const util::BitsetDotOps kCsrSentinel{"csr", nullptr, nullptr, nullptr,
-                                      nullptr};
+const util::BitsetDotOps kCsrSentinel{"csr",   nullptr, nullptr, nullptr,
+                                      nullptr, nullptr, nullptr, nullptr};
 const util::BitsetDotOps* const kCsrOnly = &kCsrSentinel;
 
 std::atomic<const util::BitsetDotOps*> g_backend{nullptr};

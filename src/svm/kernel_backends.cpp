@@ -16,6 +16,9 @@
 //   avx2   — Mula's vpshufb nibble-LUT popcount, 4 words per iteration,
 //            accumulated with vpsadbw (no byte-counter overflow to manage).
 //   avx512 — vpopcntdq, 8 words per iteration (AVX-512F + VPOPCNTDQ).
+//
+// Each backend's table also carries the identification cascade's
+// overlap-stage kernels (DESIGN §10), compiled in svm/overlap_backends.cpp.
 #include "svm/kernel_backends.h"
 
 #include <algorithm>
@@ -28,6 +31,8 @@
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
+
+#include "svm/simd_popcount.h"
 #define WTP_X86 1
 #else
 #define WTP_X86 0
@@ -91,18 +96,6 @@ bool popcnt_supported() { return __builtin_cpu_supports("popcnt") != 0; }
 #undef WTP_DOT_ROW_TOTAL
 
 // ------------------------------------------------------------------ avx2 --
-
-/// popcount of every byte of `v` via two nibble table lookups.
-__attribute__((target("avx2"))) inline __m256i avx2_byte_popcount(__m256i v) {
-  const __m256i lut =
-      _mm256_setr_epi8(0, 1, 1, 2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4, 0, 1, 1,
-                       2, 1, 2, 2, 3, 1, 2, 2, 3, 2, 3, 3, 4);
-  const __m256i low_mask = _mm256_set1_epi8(0x0f);
-  const __m256i lo = _mm256_and_si256(v, low_mask);
-  const __m256i hi = _mm256_and_si256(_mm256_srli_epi32(v, 4), low_mask);
-  return _mm256_add_epi8(_mm256_shuffle_epi8(lut, lo),
-                         _mm256_shuffle_epi8(lut, hi));
-}
 
 __attribute__((target("avx2,popcnt"))) inline uint64_t avx2_and_popcount_one(
     const uint64_t* a, const uint64_t* b, size_t n) {
@@ -461,16 +454,30 @@ avx512_dot_rows_prefix(const util::BitsetView& m, const uint64_t* qw,
 
 #pragma GCC diagnostic pop
 
-const util::BitsetDotOps kPopcntOps{"popcnt", &pc_and_popcount,
+const util::BitsetDotOps kPopcntOps{"popcnt",
+                                    &pc_and_popcount,
                                     &pc_and_popcount_rows,
-                                    &pc_and_popcount_block, &pc_dot_rows};
-const util::BitsetDotOps kAvx2Ops{"avx2", &avx2_and_popcount,
+                                    &pc_and_popcount_block,
+                                    &pc_dot_rows,
+                                    &popcnt_overlap_count,
+                                    &popcnt_overlap_histogram,
+                                    &popcnt_overlap_select};
+const util::BitsetDotOps kAvx2Ops{"avx2",
+                                  &avx2_and_popcount,
                                   &avx2_and_popcount_rows,
-                                  &avx2_and_popcount_block, &avx2_dot_rows};
-const util::BitsetDotOps kAvx512Ops{"avx512", &avx512_and_popcount,
+                                  &avx2_and_popcount_block,
+                                  &avx2_dot_rows,
+                                  &avx2_overlap_count,
+                                  &avx2_overlap_histogram,
+                                  &avx2_overlap_select};
+const util::BitsetDotOps kAvx512Ops{"avx512",
+                                    &avx512_and_popcount,
                                     &avx512_and_popcount_rows,
                                     &avx512_and_popcount_block,
-                                    &avx512_dot_rows};
+                                    &avx512_dot_rows,
+                                    &avx512_overlap_count,
+                                    &avx512_overlap_histogram,
+                                    &avx512_overlap_select};
 #endif  // WTP_X86
 
 }  // namespace

@@ -1,7 +1,9 @@
 // Internal registries of SIMD kernel backends.
 //
 //   kernel_backends()    — bitset dot backends (svm/kernel_backends.cpp),
-//                          AND+popcount over the bitset plane (DESIGN §11).
+//                          AND+popcount over the bitset plane (DESIGN §11),
+//                          plus the cascade's overlap-stage kernels
+//                          (DESIGN §10).
 //   transform_backends() — kernel-transform backends
 //                          (svm/transform_backends.cpp), the vectorized
 //                          tail that turns raw dots into kernel values
@@ -13,6 +15,7 @@
 
 #include <cstddef>
 #include <span>
+#include <type_traits>
 
 #include "util/bitset_view.h"
 
@@ -27,6 +30,21 @@ struct KernelBackend {
 /// All compiled-in backends, fastest first ("avx512", "avx2", "popcnt",
 /// "scalar").  The scalar entry is always last and always supported.
 [[nodiscard]] std::span<const KernelBackend> kernel_backends() noexcept;
+
+/// The overlap_* entries of the popcnt/avx2/avx512 backends, defined in
+/// svm/overlap_backends.cpp (x86 only; callable only where the backend's
+/// supported() is true).
+using OverlapCountFn =
+    std::remove_pointer_t<decltype(util::BitsetDotOps::overlap_count)>;
+using OverlapHistogramFn =
+    std::remove_pointer_t<decltype(util::BitsetDotOps::overlap_histogram)>;
+using OverlapSelectFn =
+    std::remove_pointer_t<decltype(util::BitsetDotOps::overlap_select)>;
+OverlapCountFn popcnt_overlap_count, avx2_overlap_count, avx512_overlap_count;
+OverlapHistogramFn popcnt_overlap_histogram, avx2_overlap_histogram,
+    avx512_overlap_histogram;
+OverlapSelectFn popcnt_overlap_select, avx2_overlap_select,
+    avx512_overlap_select;
 
 /// One kernel-transform backend: in-place per-element ops over a tile of
 /// raw dot products (DESIGN §14).

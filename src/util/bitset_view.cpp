@@ -43,9 +43,22 @@ void sc_and_popcount_block(const std::uint64_t* queries, std::size_t n_queries,
 #undef WTP_DOT_POPCOUNT
 #undef WTP_DOT_ROW_TOTAL
 
-constexpr BitsetDotOps kScalarOps{"scalar", &sc_and_popcount,
-                                  &sc_and_popcount_rows, &sc_and_popcount_block,
-                                  &sc_dot_rows};
+#define WTP_OVL_FN(name) sc_##name
+#define WTP_OVL_ATTR
+#define WTP_OVL_POPCOUNT(x) std::popcount(x)
+#include "util/overlap_body.inc"
+#undef WTP_OVL_FN
+#undef WTP_OVL_ATTR
+#undef WTP_OVL_POPCOUNT
+
+constexpr BitsetDotOps kScalarOps{"scalar",
+                                  &sc_and_popcount,
+                                  &sc_and_popcount_rows,
+                                  &sc_and_popcount_block,
+                                  &sc_dot_rows,
+                                  &sc_overlap_count,
+                                  &sc_overlap_histogram,
+                                  &sc_overlap_select};
 
 }  // namespace
 

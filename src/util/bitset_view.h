@@ -103,8 +103,8 @@ struct BitsetQuery {
   bool encode(const BitsetView& layout, const SparseVector& query);
 };
 
-/// Pluggable integer word kernels.  All three produce mathematically (hence
-/// bit-) identical counts; only speed differs.
+/// Pluggable integer word kernels.  Every backend produces mathematically
+/// (hence bit-) identical counts; only speed differs.
 struct BitsetDotOps {
   const char* name;
   /// popcount(a & b) over n words.
@@ -124,6 +124,29 @@ struct BitsetDotOps {
   /// column; `out` must have room for row_count results.
   void (*dot_rows)(const BitsetView& m, const std::uint64_t* query_words,
                    const double* query_numeric, double* out);
+
+  // Overlap-stage kernels of the identification cascade (index/cascade.h,
+  // DESIGN §10).  Per-position hit counts are bit-sliced: `planes` holds
+  // n_planes planes of `words` words each, and bit b of
+  // planes[i * words + w] is bit i of the count at position 64 * w + b.
+  /// Overwrites the planes with the per-position sum of n_columns column
+  /// bitsets of `words` words each.  n_planes >= bit_width(n_columns), so
+  /// no count overflows.
+  void (*overlap_count)(const std::uint64_t* const* columns,
+                        std::size_t n_columns, std::size_t words,
+                        std::size_t n_planes, std::uint64_t* planes);
+  /// hist[h - 1] += the positions in words [begin, end) whose count is h,
+  /// for every 1 <= h <= max_hits.
+  void (*overlap_histogram)(const std::uint64_t* planes, std::size_t n_planes,
+                            std::size_t words, std::size_t begin,
+                            std::size_t end, std::size_t max_hits,
+                            std::uint32_t* hist);
+  /// out[w - begin] = the positions in words [begin, end) whose count lies
+  /// in [lo, hi].
+  void (*overlap_select)(const std::uint64_t* planes, std::size_t n_planes,
+                         std::size_t words, std::size_t begin, std::size_t end,
+                         std::uint64_t lo, std::uint64_t hi,
+                         std::uint64_t* out);
 };
 
 /// Portable backend (std::popcount).  The reference the SIMD backends are
