@@ -1,15 +1,21 @@
 // Minimal JSON emitter for the BENCH_*.json checkpoints: benches append
 // flat records (numbers, strings, bools, nested objects/arrays) and write
 // one file per run, so the perf trajectory lives on disk next to the
-// binaries instead of only in scrollback.
+// binaries instead of only in scrollback.  write_stamp() records what a
+// checkpoint was measured on, so a slower number can be told apart from a
+// slower machine.
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
+
+#include "svm/kernel.h"
 
 namespace wtp::bench {
 
@@ -135,5 +141,72 @@ class JsonBuilder {
   bool need_comma_ = false;
   bool pending_value_ = false;
 };
+
+namespace stamp_detail {
+
+/// First line of `command`'s stdout, or "" when it cannot run or fails.
+inline std::string first_line_of(const std::string& command) {
+  std::FILE* pipe = ::popen(command.c_str(), "r");
+  if (pipe == nullptr) return "";
+  std::string out;
+  char buffer[256];
+  while (std::fgets(buffer, sizeof buffer, pipe) != nullptr) out += buffer;
+  if (::pclose(pipe) != 0) return "";
+  const std::size_t newline = out.find('\n');
+  return newline == std::string::npos ? out : out.substr(0, newline);
+}
+
+/// The source tree's git commit, "-dirty" when src/ or bench/ differ from
+/// it; "unknown" outside a git checkout.
+inline std::string commit() {
+#ifdef WTP_BENCH_SOURCE_DIR
+  const std::string git = std::string{"git -C '"} + WTP_BENCH_SOURCE_DIR + "' ";
+  const std::string head = first_line_of(git + "rev-parse HEAD 2>/dev/null");
+  if (!head.empty()) {
+    const std::string dirty = first_line_of(
+        git + "status --porcelain -- src bench 2>/dev/null");
+    return dirty.empty() ? head : head + "-dirty";
+  }
+#endif
+  return "unknown";
+}
+
+inline std::string cpu_model() {
+  std::ifstream in{"/proc/cpuinfo"};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const std::size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const std::size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "unknown";
+}
+
+}  // namespace stamp_detail
+
+/// Writes a "stamp" key: the commit, CPU model, core count, build type, the
+/// dispatched kernel and transform backends and the transform mode this
+/// process runs with.
+inline void write_stamp(JsonBuilder& json) {
+#ifdef WTP_BENCH_BUILD_TYPE
+  const char* build_type = WTP_BENCH_BUILD_TYPE;
+#else
+  const char* build_type = "unknown";
+#endif
+  json.key("stamp").begin_object();
+  json.key("commit").value(stamp_detail::commit());
+  json.key("cpu_model").value(stamp_detail::cpu_model());
+  json.key("nproc").value(
+      static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+  json.key("build_type").value(build_type);
+  json.key("kernel_backend").value(svm::kernel_backend_name());
+  json.key("transform_backend").value(svm::transform_backend_name());
+  json.key("transform_mode")
+      .value(svm::transform_mode() == svm::TransformMode::kRelaxed ? "relaxed"
+                                                                   : "exact");
+  json.end_object();
+}
 
 }  // namespace wtp::bench

@@ -385,6 +385,7 @@ int main(int argc, char** argv) {
   JsonBuilder json;
   json.begin_object();
   json.key("bench").value("identification_scale");
+  wtp::bench::write_stamp(json);
   json.key("seed").value(options.seed);
   json.key("scales").begin_array();
 

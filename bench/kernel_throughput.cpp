@@ -584,6 +584,7 @@ int main(int argc, char** argv) {
     wtp::bench::JsonBuilder json;
     json.begin_object();
     json.key("bench").value("kernel_throughput");
+    wtp::bench::write_stamp(json);
     json.key("dimension").value(kDim);
     json.key("matrix_rows").value(kRows);
     json.key("kernels").begin_array();

@@ -285,6 +285,7 @@ int run_tcp_mode(const core::ProfileStore& store,
     bench::JsonBuilder json;
     json.begin_object();
     json.key("bench").value("serve_throughput");
+    wtp::bench::write_stamp(json);
     json.key("mode").value("tcp");
     json.key("transactions").value(txns.size());
     json.key("profiles").value(store.profiles().size());
@@ -422,6 +423,7 @@ int main(int argc, char** argv) {
     bench::JsonBuilder json;
     json.begin_object();
     json.key("bench").value("serve_throughput");
+    wtp::bench::write_stamp(json);
     json.key("transactions").value(trace.transactions.size());
     json.key("devices").value(devices.size());
     json.key("profiles").value(store.profiles().size());

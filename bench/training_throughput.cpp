@@ -328,6 +328,7 @@ int main(int argc, char** argv) {
     wtp::bench::JsonBuilder json;
     json.begin_object();
     json.key("bench").value("training_throughput");
+    wtp::bench::write_stamp(json);
     json.key("windows").value(kWindows);
     json.key("dimension").value(kDim);
     json.key("mean_nnz").value(kMeanNnz);

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
 #include "features/schema.h"
 #include "svm/kernel.h"
@@ -32,6 +33,24 @@ Scratch& scratch_for(std::size_t users, std::size_t dimension) {
   if (scratch.dense.size() < dimension) scratch.dense.resize(dimension, 0.0);
   if (scratch.score.size() < users) scratch.score.resize(users, 0.0f);
   return scratch;
+}
+
+/// Writes the query's in-range entries into the all-zero `dense`.
+void scatter_query(std::span<double> dense,
+                   std::span<const std::uint32_t> indices,
+                   std::span<const double> values, std::size_t dimension) {
+  for (std::size_t k = 0; k < indices.size(); ++k) {
+    if (indices[k] < dimension) dense[indices[k]] = values[k];
+  }
+}
+
+/// Returns `dense` to all zeros after scatter_query.
+void clear_query(std::span<double> dense,
+                 std::span<const std::uint32_t> indices,
+                 std::size_t dimension) {
+  for (const std::uint32_t col : indices) {
+    if (col < dimension) dense[col] = 0.0;
+  }
 }
 
 /// The best not yet merged hit count of one support-size class.
@@ -79,6 +98,25 @@ QuerySpans spans_of(const util::SparseVector& x) {
     values.push_back(entry.value);
   }
   return {indices, values};
+}
+
+/// Look-ahead of the gate loops, in survivors.  Each survivor is a random
+/// user whose gate entries sit in cold cache lines, reached through its
+/// gate_offsets_ entry: the loop fetches the offsets kFarAhead survivors
+/// ahead, and the entry ranges they point at kNearAhead survivors ahead, by
+/// which time those offsets are cached.
+constexpr std::size_t kFarAhead = 16;
+constexpr std::size_t kNearAhead = 6;
+
+/// Prefetches every cache line of [begin, end) for reading.
+template <typename T>
+void prefetch_range(const T* begin, const T* end) {
+  constexpr std::uintptr_t kLine = 64;
+  const auto first = reinterpret_cast<std::uintptr_t>(begin) & ~(kLine - 1);
+  const auto last = reinterpret_cast<std::uintptr_t>(end);
+  for (std::uintptr_t line = first; line < last; line += kLine) {
+    __builtin_prefetch(reinterpret_cast<const void*>(line));
+  }
 }
 
 /// Shrinks `candidates` to its `keep` best by (score desc, index asc) — the
@@ -144,6 +182,14 @@ IdentificationPlane::IdentificationPlane(const ProfileCatalog& catalog,
   } else {
     owned_registry_ = std::make_unique<obs::Registry>();
     registry_ = owned_registry_.get();
+  }
+  // The gaussian gate's inverse variances are stored as f32; a floor whose
+  // inverse overflows f32 would turn a zero query entry's +0 term into NaN.
+  if (!(config_.variance_floor > 0.0) ||
+      !std::isfinite(static_cast<float>(1.0 / config_.variance_floor))) {
+    throw std::invalid_argument{
+        "IdentificationPlane: variance_floor must be > 0 with a finite f32 "
+        "inverse"};
   }
   metrics_ = std::make_unique<Metrics>(*registry_);
   build(catalog);
@@ -440,6 +486,79 @@ void IdentificationPlane::overlap_stage(
   survivors.insert(survivors.end(), ties.begin(), ties.end());
 }
 
+void IdentificationPlane::centroid_stage(
+    std::span<const double> dense, std::vector<std::uint32_t>& survivors,
+    std::span<float> score) const {
+  // score = 2 x·μ − ||μ||², the user-dependent part of −||x − μ||² (higher
+  // = closer to the user's SV mean).  The loop is bound by the cold misses
+  // on each survivor's entries, not by its arithmetic, so it runs the
+  // two-level look-ahead (kFarAhead, kNearAhead).
+  if (config_.centroid_keep == 0 || survivors.size() <= config_.centroid_keep) {
+    return;
+  }
+  const std::size_t count = survivors.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kFarAhead < count) {
+      __builtin_prefetch(gate_offsets_.data() + survivors[i + kFarAhead]);
+    }
+    if (i + kNearAhead < count) {
+      const std::uint32_t ahead = survivors[i + kNearAhead];
+      const std::size_t begin = gate_offsets_[ahead];
+      const std::size_t end = gate_offsets_[ahead + 1];
+      prefetch_range(gate_cols_.data() + begin, gate_cols_.data() + end);
+      prefetch_range(gate_mean_.data() + begin, gate_mean_.data() + end);
+      __builtin_prefetch(mean_sqnorm_.data() + ahead);
+    }
+    const std::uint32_t u = survivors[i];
+    double dot = 0.0;
+    for (std::size_t k = gate_offsets_[u]; k < gate_offsets_[u + 1]; ++k) {
+      dot += dense[gate_cols_[k]] * gate_mean_[k];
+    }
+    score[u] = static_cast<float>(2.0 * dot - mean_sqnorm_[u]);
+  }
+  keep_top(survivors, score, config_.centroid_keep);
+}
+
+void IdentificationPlane::gaussian_stage(
+    std::span<const double> dense, std::vector<std::uint32_t>& survivors,
+    std::span<float> score) const {
+  // score = −Mahalanobis² up to the query-constant term floor⁻¹·||x||²
+  // (dropped: it cannot change ranks), with the centroid stage's look-ahead.
+  // A zero query entry x (either sign) adds exactly +0, (0·0 − 2·0·μ)·iv −
+  // 0·0·floor⁻¹ with μ, iv and floor⁻¹ finite, to a distance that starts at
+  // gauss_base ≥ +0, so the loop needs no branch on x to score exactly as
+  // one that skips the zeros.
+  if (config_.final_keep == 0 || survivors.size() <= config_.final_keep) {
+    return;
+  }
+  const double inv_floor = 1.0 / config_.variance_floor;
+  const std::size_t count = survivors.size();
+  for (std::size_t i = 0; i < count; ++i) {
+    if (i + kFarAhead < count) {
+      __builtin_prefetch(gate_offsets_.data() + survivors[i + kFarAhead]);
+    }
+    if (i + kNearAhead < count) {
+      const std::uint32_t ahead = survivors[i + kNearAhead];
+      const std::size_t begin = gate_offsets_[ahead];
+      const std::size_t end = gate_offsets_[ahead + 1];
+      prefetch_range(gate_cols_.data() + begin, gate_cols_.data() + end);
+      prefetch_range(gate_mean_.data() + begin, gate_mean_.data() + end);
+      prefetch_range(gate_inv_var_.data() + begin, gate_inv_var_.data() + end);
+      __builtin_prefetch(gauss_base_.data() + ahead);
+    }
+    const std::uint32_t u = survivors[i];
+    double distance = gauss_base_[u];
+    for (std::size_t k = gate_offsets_[u]; k < gate_offsets_[u + 1]; ++k) {
+      const double x = dense[gate_cols_[k]];
+      const double mean = gate_mean_[k];
+      distance += (x * x - 2.0 * x * mean) * gate_inv_var_[k] -
+                  x * x * inv_floor;
+    }
+    score[u] = static_cast<float>(-distance);
+  }
+  keep_top(survivors, score, config_.final_keep);
+}
+
 IdentificationResult IdentificationPlane::score_survivors(
     std::span<const std::uint32_t> survivors,
     std::span<const std::uint32_t> query_indices,
@@ -482,57 +601,26 @@ IdentificationResult IdentificationPlane::identify(
   metrics_->overlap_survivors->add(survivors.size());
 
   // Scatter the query densely once for both gate stages.
-  for (std::size_t k = 0; k < query_indices.size(); ++k) {
-    if (query_indices[k] < dimension_) {
-      scratch.dense[query_indices[k]] = query_values[k];
-    }
-  }
+  scatter_query(scratch.dense, query_indices, query_values, dimension_);
 
-  // Stage 2: centroid gate.  score = 2 x·μ − ||μ||², the user-dependent part
-  // of −||x − μ||² (higher = closer to the user's SV mean).
+  // Stage 2: centroid gate.
   stage_start = Clock::now();
-  if (config_.centroid_keep > 0 && survivors.size() > config_.centroid_keep) {
-    for (const std::uint32_t u : survivors) {
-      double dot = 0.0;
-      for (std::size_t k = gate_offsets_[u]; k < gate_offsets_[u + 1]; ++k) {
-        dot += scratch.dense[gate_cols_[k]] * gate_mean_[k];
-      }
-      scratch.score[u] = static_cast<float>(2.0 * dot - mean_sqnorm_[u]);
-    }
-    keep_top(survivors, scratch.score, config_.centroid_keep);
-  }
+  centroid_stage(scratch.dense, survivors, scratch.score);
   result.stage_ns[1] = static_cast<std::int64_t>(elapsed_ns(stage_start));
   metrics_->stage_centroid->record_ns(static_cast<double>(result.stage_ns[1]));
   result.centroid_survivors = survivors.size();
   metrics_->centroid_survivors->add(survivors.size());
 
-  // Stage 3: diagonal gaussian gate.  score = −Mahalanobis² up to the
-  // query-constant term floor⁻¹·||x||² (dropped: it cannot change ranks).
+  // Stage 3: diagonal gaussian gate.
   stage_start = Clock::now();
-  if (config_.final_keep > 0 && survivors.size() > config_.final_keep) {
-    const double inv_floor = 1.0 / config_.variance_floor;
-    for (const std::uint32_t u : survivors) {
-      double distance = gauss_base_[u];
-      for (std::size_t k = gate_offsets_[u]; k < gate_offsets_[u + 1]; ++k) {
-        const double x = scratch.dense[gate_cols_[k]];
-        if (x == 0.0) continue;
-        const double mean = gate_mean_[k];
-        distance += (x * x - 2.0 * x * mean) * gate_inv_var_[k] -
-                    x * x * inv_floor;
-      }
-      scratch.score[u] = static_cast<float>(-distance);
-    }
-    keep_top(survivors, scratch.score, config_.final_keep);
-  }
+  gaussian_stage(scratch.dense, survivors, scratch.score);
   result.stage_ns[2] = static_cast<std::int64_t>(elapsed_ns(stage_start));
   metrics_->stage_gaussian->record_ns(static_cast<double>(result.stage_ns[2]));
   result.gaussian_survivors = survivors.size();
   metrics_->gaussian_survivors->add(survivors.size());
 
   // Unscatter before the (potentially slow) SVM stage.
-  for (const std::uint32_t col : query_indices) {
-    if (col < dimension_) scratch.dense[col] = 0.0;
-  }
+  clear_query(scratch.dense, query_indices, dimension_);
 
   // Stage 4: full decisions for the survivors, ascending catalog order so
   // the first-max tie-break matches exhaustive fan-out exactly.
@@ -591,6 +679,21 @@ std::vector<std::uint32_t> detail::overlap_survivors(
     std::span<const double> query_values) {
   std::vector<std::uint32_t> survivors;
   plane.overlap_stage(query_indices, query_values, overlap_ops(), survivors);
+  std::sort(survivors.begin(), survivors.end());
+  return survivors;
+}
+
+std::vector<std::uint32_t> detail::gate_survivors(
+    const IdentificationPlane& plane,
+    std::span<const std::uint32_t> query_indices,
+    std::span<const double> query_values) {
+  std::vector<std::uint32_t> survivors;
+  plane.overlap_stage(query_indices, query_values, overlap_ops(), survivors);
+  Scratch& scratch = scratch_for(plane.catalog_->size(), plane.dimension_);
+  scatter_query(scratch.dense, query_indices, query_values, plane.dimension_);
+  plane.centroid_stage(scratch.dense, survivors, scratch.score);
+  plane.gaussian_stage(scratch.dense, survivors, scratch.score);
+  clear_query(scratch.dense, query_indices, plane.dimension_);
   std::sort(survivors.begin(), survivors.end());
   return survivors;
 }

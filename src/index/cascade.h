@@ -31,6 +31,15 @@
 // the lowest catalog indices tied at it — exactly the set a selection by
 // (score desc, catalog index asc) keeps.
 //
+// Stages 2 and 3 are bound by memory latency, not arithmetic: each
+// survivor is a random user whose gate entries sit in cold lines of the
+// SoA arrays below, so both loops prefetch the offsets of the survivor 16
+// ahead and the entry ranges of the one 6 ahead.  A zero query entry adds
+// exactly +0 to the gaussian distance, so that loop has no branch on it
+// and still scores bit-identically.  Packed per-user records, huge pages,
+// per-user support bitmaps and interleaving several users' loops were
+// measured and did not help (DESIGN §10).
+//
 // Stages 1-3 are rank-only: they choose WHICH users reach the SVMs, never
 // what those SVMs decide, so a cascade argmax can differ from the
 // exhaustive argmax only if the true best user is pruned upstream.  The
@@ -66,6 +75,14 @@ namespace detail {
     const IdentificationPlane& plane,
     std::span<const std::uint32_t> query_indices,
     std::span<const double> query_values);
+
+/// Stages 1-3 of identify() alone: the catalog indices that reach the SVM
+/// stage, ascending.  The seam the plain-loop gate oracle in tests/index is
+/// compared through.
+[[nodiscard]] std::vector<std::uint32_t> gate_survivors(
+    const IdentificationPlane& plane,
+    std::span<const std::uint32_t> query_indices,
+    std::span<const double> query_values);
 }  // namespace detail
 
 struct CascadeConfig {
@@ -78,6 +95,7 @@ struct CascadeConfig {
   /// stage-1 ranking.  0 ranks every user (overlap stage only reorders).
   std::size_t min_overlap = 1;
   /// Variance floor of the gaussian gate (mirrors oneclass::GaussianModel).
+  /// Must be > 0 with 1/floor finite in f32; the plane throws otherwise.
   double variance_floor = 1e-4;
   /// Metrics sink; null = a private registry owned by the plane.
   obs::Registry* registry = nullptr;
@@ -133,6 +151,9 @@ class IdentificationPlane {
   friend std::vector<std::uint32_t> detail::overlap_survivors(
       const IdentificationPlane&, std::span<const std::uint32_t>,
       std::span<const double>);
+  friend std::vector<std::uint32_t> detail::gate_survivors(
+      const IdentificationPlane&, std::span<const std::uint32_t>,
+      std::span<const double>);
 
   void build(const ProfileCatalog& catalog);
   /// Stage 1: replaces `survivors` with the overlap stage's survivors, in
@@ -141,6 +162,15 @@ class IdentificationPlane {
                      std::span<const double> query_values,
                      const util::BitsetDotOps& ops,
                      std::vector<std::uint32_t>& survivors) const;
+  /// Stages 2 and 3 over the query scattered into `dense`: each shrinks
+  /// `survivors` to its keep-size best by gate score (scratch `score`, one
+  /// slot per user), or leaves it as is when it is already within budget.
+  void centroid_stage(std::span<const double> dense,
+                      std::vector<std::uint32_t>& survivors,
+                      std::span<float> score) const;
+  void gaussian_stage(std::span<const double> dense,
+                      std::vector<std::uint32_t>& survivors,
+                      std::span<float> score) const;
   [[nodiscard]] IdentificationResult score_survivors(
       std::span<const std::uint32_t> survivors,
       std::span<const std::uint32_t> query_indices,

@@ -483,9 +483,15 @@ void NetServer::read_ready(const std::shared_ptr<Connection>& conn) {
     read_ready_admin(conn);
     return;
   }
+  // A bounded number of reads per readiness event: a peer that writes as
+  // fast as we read would otherwise hold the loop here, and the replies its
+  // input produces would pile up unflushed until the slow-reader cap cut it
+  // off.  Epoll is level-triggered, so the rest is read next iteration,
+  // after the sweep has flushed.
+  constexpr int kReadsPerEvent = 16;
   auto& recorder = obs::TraceRecorder::global();
   char buffer[65536];
-  while (true) {
+  for (int reads = 0; reads < kReadsPerEvent; ++reads) {
     const ssize_t n = ::recv(conn->fd, buffer, sizeof buffer, 0);
     if (n > 0) {
       try {

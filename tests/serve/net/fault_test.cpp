@@ -10,6 +10,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <system_error>
 #include <thread>
 #include <vector>
 
@@ -275,14 +276,30 @@ TEST(Fault, BackpressureDropsAreCountedAndReplied) {
   std::string stream;
   for (const auto& txn : txns) append_txn_frame(stream, txn);
 
+  // ~120k frames draw ~8 MB of backpressure replies, as much as the
+  // server's outbound limit, so the replies are read while a second thread
+  // writes: a client that wrote everything first would be cut off as a
+  // slow reader whenever the server outpaced it.
   BlockingClient client{server.port()};
-  client.send(stream);
-  client.send_end_binary();
-
+  std::string write_error;
+  std::thread writer{[&client, &stream, &write_error] {
+    try {
+      client.send(stream);
+      client.send_end_binary();
+    } catch (const std::system_error& error) {
+      write_error = error.what();
+    }
+  }};
   std::size_t backpressure_lines = 0;
-  for (const auto& line : client.read_all_lines()) {
-    if (line_has_type(line, "backpressure")) ++backpressure_lines;
+  try {
+    while (const auto line = client.read_line()) {
+      if (line_has_type(*line, "backpressure")) ++backpressure_lines;
+    }
+  } catch (const std::system_error& error) {
+    ADD_FAILURE() << "reading replies: " << error.what();
   }
+  writer.join();
+  EXPECT_EQ(write_error, "");
   auto& registry = server.registry();
   const std::uint64_t received =
       registry.counter("net.transactions_received").value();
