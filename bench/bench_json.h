@@ -188,7 +188,9 @@ inline std::string cpu_model() {
 
 /// Writes a "stamp" key: the commit, CPU model, core count, build type, the
 /// dispatched kernel and transform backends and the transform mode this
-/// process runs with.
+/// process runs with.  bench/CMakeLists.txt defines the build type and the
+/// source directory; other builds that include this header record
+/// "unknown" for them.
 inline void write_stamp(JsonBuilder& json) {
 #ifdef WTP_BENCH_BUILD_TYPE
   const char* build_type = WTP_BENCH_BUILD_TYPE;
