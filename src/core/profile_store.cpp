@@ -22,6 +22,12 @@ ProfileStore::ProfileStore(features::WindowConfig window,
                            features::FeatureSchema schema,
                            std::vector<UserProfile> profiles)
     : window_{window}, schema_{std::move(schema)}, profiles_{std::move(profiles)} {
+  // Profiles trained on auto-detected layouts (a column is numeric only if
+  // some stored value != 1.0) can miss schema numeric columns, which splits
+  // the store across layouts and leaves windows non-conforming.  One schema
+  // layout for every SV block keeps all dots on the bitset plane.
+  const std::vector<std::uint32_t> numeric_cols = schema_.numeric_columns();
+  for (auto& profile : profiles_) profile.set_bitset_layout(numeric_cols);
   find_index_.resize(profiles_.size());
   std::iota(find_index_.begin(), find_index_.end(), std::size_t{0});
   std::sort(find_index_.begin(), find_index_.end(),

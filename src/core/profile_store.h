@@ -19,6 +19,8 @@ namespace wtp::core {
 
 class ProfileStore {
  public:
+  /// Gives every profile's support vectors the schema's bitset layout
+  /// (UserProfile::set_bitset_layout with schema.numeric_columns()).
   ProfileStore(features::WindowConfig window, features::FeatureSchema schema,
                std::vector<UserProfile> profiles);
 

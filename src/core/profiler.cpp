@@ -46,10 +46,18 @@ double UserProfile::decision_value(const util::SparseVector& window) const {
 }
 
 double UserProfile::decision_value(const util::SparseVector& window,
-                                   double window_sqnorm) const {
+                                   double window_sqnorm,
+                                   svm::EncodedQueryCache* cache) const {
   return std::visit(
-      [&](const auto& model) { return model.decision_value(window, window_sqnorm); },
+      [&](const auto& model) {
+        return model.decision_value(window, window_sqnorm, cache);
+      },
       model_);
+}
+
+void UserProfile::set_bitset_layout(std::span<const std::uint32_t> numeric_cols) {
+  std::visit([&](auto& model) { model.set_bitset_layout(numeric_cols); },
+             model_);
 }
 
 void UserProfile::decision_values(const util::FeatureMatrix& windows,

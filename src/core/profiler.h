@@ -58,15 +58,19 @@ class UserProfile {
 
   [[nodiscard]] double decision_value(const util::SparseVector& window) const;
   /// Same, with the query's squared norm precomputed by the caller (serving:
-  /// one norm per scored window shared across all profiles).
-  [[nodiscard]] double decision_value(const util::SparseVector& window,
-                                      double window_sqnorm) const;
+  /// one norm per scored window shared across all profiles) and optionally
+  /// the window's bitset encoding, shared the same way (`cache` built over
+  /// `window`).
+  [[nodiscard]] double decision_value(
+      const util::SparseVector& window, double window_sqnorm,
+      svm::EncodedQueryCache* cache = nullptr) const;
   [[nodiscard]] bool accepts(const util::SparseVector& window) const {
     return decision_value(window) >= 0.0;
   }
   [[nodiscard]] bool accepts(const util::SparseVector& window,
-                             double window_sqnorm) const {
-    return decision_value(window, window_sqnorm) >= 0.0;
+                             double window_sqnorm,
+                             svm::EncodedQueryCache* cache = nullptr) const {
+    return decision_value(window, window_sqnorm, cache) >= 0.0;
   }
 
   /// Batched decisions over every row of `windows` (the kernel_block path),
@@ -89,6 +93,12 @@ class UserProfile {
   [[nodiscard]] const std::string& user_id() const noexcept { return user_id_; }
   [[nodiscard]] const ProfileParams& params() const noexcept { return params_; }
   [[nodiscard]] std::size_t support_vector_count() const;
+
+  /// Gives the support vectors' bitset the numeric layout `numeric_cols`
+  /// (normally FeatureSchema::numeric_columns()), so every profile of a
+  /// store shares one layout: one query encoding serves them all and the
+  /// AVX-512 combine engages.  Decision values are unchanged.
+  void set_bitset_layout(std::span<const std::uint32_t> numeric_cols);
 
   /// Persistence: profile header (user id + params) followed by the model.
   void save(std::ostream& out) const;

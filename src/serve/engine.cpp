@@ -100,6 +100,9 @@ bool ScoringEngine::publish_profile(const std::string& user_id,
         "ScoringEngine::publish_profile: a cascade plane indexes the "
         "construction-time profiles; hot swaps are not supported"};
   }
+  // Same schema layout as the construction store's profiles (see
+  // ProfileStore), so the swapped-in profile shares the window encoding.
+  profile.set_bitset_layout(store_->schema().numeric_columns());
   const std::lock_guard lock{publish_mutex_};
   const auto current = profiles_.load(std::memory_order_acquire);
   auto next = std::make_shared<ProfileVector>(*current);
@@ -135,12 +138,14 @@ void ScoringEngine::accept_flags(const util::SparseVector& features,
     if (cascade_out != nullptr) *cascade_out = std::move(result);
     return;
   }
-  // One query norm per scored window, shared across every profile's kernel
-  // rows (the RBF path otherwise recomputes it once per profile).
+  // One query norm and one bitset encoding per scored window, shared across
+  // every profile's kernel rows: all SV blocks carry the schema layout
+  // (ProfileStore, publish_profile), so the cache encodes once.
   const double sqnorm = features.squared_norm();
   if (!pool_ || profiles.size() < 2) {
+    svm::EncodedQueryCache query_cache{features};
     for (std::size_t i = 0; i < profiles.size(); ++i) {
-      flags[i] = profiles[i].accepts(features, sqnorm) ? 1 : 0;
+      flags[i] = profiles[i].accepts(features, sqnorm, &query_cache) ? 1 : 0;
     }
     return;
   }
@@ -156,8 +161,9 @@ void ScoringEngine::accept_flags(const util::SparseVector& features,
     const std::size_t begin = t * chunk;
     const std::size_t end = std::min(profiles.size(), begin + chunk);
     pool_->submit([&profiles, &features, &flags, &done, sqnorm, begin, end] {
+      svm::EncodedQueryCache query_cache{features};
       for (std::size_t i = begin; i < end; ++i) {
-        flags[i] = profiles[i].accepts(features, sqnorm) ? 1 : 0;
+        flags[i] = profiles[i].accepts(features, sqnorm, &query_cache) ? 1 : 0;
       }
       done.count_down();
     });

@@ -119,6 +119,8 @@ class ScoringEngine {
   /// Atomically replaces `user_id`'s profile with a freshly trained one
   /// (RCU-style: scoring threads keep using the snapshot they took at the
   /// top of their ingest/flush call; the next call sees the new profile).
+  /// The profile's support vectors get the store schema's bitset layout
+  /// first, like every profile of a ProfileStore.
   /// Returns false when the store holds no such user.  Throws
   /// std::logic_error when a cascade plane is configured — the plane indexes
   /// the construction-time profiles, so hot swaps would diverge from it.

@@ -69,12 +69,15 @@ void RetrainLoop::thread_main() {
 
 core::UserProfile RetrainLoop::refit(const core::UserProfile& current,
                                      std::span<const util::SparseVector> windows,
-                                     std::size_t dimension) {
+                                     const features::FeatureSchema& schema) {
   if (windows.empty()) {
     throw std::invalid_argument{"RetrainLoop::refit: empty window buffer"};
   }
-  const util::FeatureMatrix data =
-      util::FeatureMatrix::from_rows(windows, dimension);
+  const std::size_t dimension = schema.dimension();
+  util::FeatureMatrix data = util::FeatureMatrix::from_rows(windows, dimension);
+  // Schema layout, as the offline training matrices: the fitted SV block
+  // inherits it, so the swapped-in profile shares the serving layout.
+  data.ensure_bitset(schema.numeric_columns());
   const core::ProfileParams& params = current.params();
   const double regularizer = params.regularizer;
   // Single-cell fit_path instead of plain train(): identical result, but it
@@ -130,7 +133,7 @@ std::size_t RetrainLoop::run_once() {
 
       const util::Stopwatch stopwatch;
       core::UserProfile fresh =
-          refit(*current, windows, engine_->store().schema().dimension());
+          refit(*current, windows, engine_->store().schema());
       if (fit_ns_ != nullptr) {
         fit_ns_->record_ns(stopwatch.elapsed_micros() * kNanosPerMicro);
       }

@@ -23,6 +23,7 @@
 #include <unordered_map>
 
 #include "core/profiler.h"
+#include "features/schema.h"
 #include "obs/registry.h"
 #include "serve/engine.h"
 #include "serve/retrain/collector.h"
@@ -73,11 +74,13 @@ class RetrainLoop {
   std::size_t run_once();
 
   /// The retraining primitive: fits a fresh model with `current`'s
-  /// hyper-parameters on `windows` via the fit_path plane.  Pure — tests
-  /// use it as the offline oracle the hot-swapped profile must equal.
+  /// hyper-parameters on `windows` (a matrix with `schema`'s dimension and
+  /// bitset layout) via the fit_path plane.  Pure — tests use it as the
+  /// offline oracle the hot-swapped profile must equal.
   [[nodiscard]] static core::UserProfile refit(
       const core::UserProfile& current,
-      std::span<const util::SparseVector> windows, std::size_t dimension);
+      std::span<const util::SparseVector> windows,
+      const features::FeatureSchema& schema);
 
  private:
   void thread_main();

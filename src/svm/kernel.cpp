@@ -181,6 +181,7 @@ struct KernelMetrics {
   std::array<obs::Timer*, 4> dot{};
   std::array<obs::Timer*, 4> transform{};
   obs::Gauge* relaxed_active = nullptr;
+  obs::Counter* csr_fallback = nullptr;
 };
 
 std::atomic<const KernelMetrics*> g_metrics{nullptr};
@@ -217,30 +218,36 @@ void transform_phase_end(const KernelMetrics* metrics, KernelType type,
 
 // ------------------------------------------------------- bitset row paths --
 
-/// Raw dots of (query_indices, query_values) against every matrix row via
-/// the bitset plane.  Returns false (caller uses the CSR oracle) when the
-/// plane is disabled, the matrix has no bitset, or the query does not
-/// conform to its layout.
-bool bitset_dots(const util::BitsetView* bits,
-                 std::span<const std::uint32_t> query_indices,
-                 std::span<const double> query_values, std::span<double> out) {
-  if (bits == nullptr) return false;
-  const util::BitsetDotOps* ops = kernel_dispatch();
-  if (ops == nullptr) return false;
-  thread_local util::BitsetQuery query;
-  if (!query.encode(*bits, query_indices, query_values)) return false;
-  util::bitset_dot_rows(*bits, query, out, *ops);
-  return true;
+/// A query met a bitset block but did not conform to its layout.
+void count_csr_fallback() {
+  if (const KernelMetrics* metrics = kernel_metrics()) {
+    metrics->csr_fallback->add(1);
+  }
 }
 
-bool bitset_dots(const util::BitsetView* bits, const util::SparseVector& x,
-                 std::span<double> out) {
+/// Raw dots of the query — (indices, values) or a SparseVector — against
+/// every matrix row via the bitset plane, encoded through `cache` when one
+/// is given.  Returns false (caller uses the CSR oracle) when the plane is
+/// disabled, the matrix has no bitset, or the query does not conform to
+/// its layout; only the last counts as a CSR fallback.
+template <typename... Query>
+bool bitset_dots(const util::BitsetView* bits, EncodedQueryCache* cache,
+                 std::span<double> out, const Query&... query) {
   if (bits == nullptr) return false;
   const util::BitsetDotOps* ops = kernel_dispatch();
   if (ops == nullptr) return false;
-  thread_local util::BitsetQuery query;
-  if (!query.encode(*bits, x)) return false;
-  util::bitset_dot_rows(*bits, query, out, *ops);
+  const util::BitsetQuery* encoded = nullptr;
+  if (cache != nullptr) {
+    encoded = cache->get(*bits);
+  } else {
+    thread_local util::BitsetQuery scratch;
+    if (scratch.encode(*bits, query...)) encoded = &scratch;
+  }
+  if (encoded == nullptr) {
+    count_csr_fallback();
+    return false;
+  }
+  util::bitset_dot_rows(*bits, *encoded, out, *ops);
   return true;
 }
 
@@ -360,6 +367,7 @@ void set_kernel_metrics(obs::Registry* registry) {
         &registry->timer("kernel.transform_ns", labels);
   }
   metrics.relaxed_active = &registry->gauge("kernel.transform_relaxed");
+  metrics.csr_fallback = &registry->counter("kernel.csr_fallback");
   metrics.relaxed_active->set(
       transform_mode() == TransformMode::kRelaxed ? 1.0 : 0.0);
   bundles.push_back(metrics);
@@ -499,7 +507,7 @@ void dot_rows(const util::FeatureMatrix& matrix, const util::SparseVector& x,
               std::span<double> out) {
   util::BitsetView view_storage;
   const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
-  if (!bitset_dots(bits, x, out)) matrix.dot_all(x, out);
+  if (!bitset_dots(bits, nullptr, out, x)) matrix.dot_all(x, out);
 }
 
 void dot_rows(const util::FeatureMatrix& matrix, std::size_t i,
@@ -526,10 +534,12 @@ void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
 
 void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
                 const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out) {
+                std::span<double> out, EncodedQueryCache* cache) {
   const KernelMetrics* metrics = kernel_metrics();
   const std::int64_t start = phase_begin(metrics);
-  dot_rows(matrix, x, out);
+  util::BitsetView view_storage;
+  const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
+  if (!bitset_dots(bits, cache, out, x)) matrix.dot_all(x, out);
   dot_phase_end(metrics, params.type, start);
   kernel_transform(params, matrix.view(), x_sqnorm, out);
 }
@@ -542,7 +552,7 @@ void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
   const std::int64_t start = phase_begin(metrics);
   util::BitsetView view_storage;
   const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
-  if (!bitset_dots(bits, query_indices, query_values, out)) {
+  if (!bitset_dots(bits, nullptr, out, query_indices, query_values)) {
     matrix.dot_all(query_indices, query_values, out);
   }
   dot_phase_end(metrics, params.type, start);
@@ -575,13 +585,8 @@ void kernel_row(const KernelParams& params, const util::CsrView& matrix,
                 std::span<const std::uint32_t> query_indices,
                 std::span<const double> query_values, double x_sqnorm,
                 std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  if (!bitset_dots(bitset, query_indices, query_values, out)) {
-    matrix.dot_all(query_indices, query_values, out);
-  }
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
+  kernel_row(params, matrix, bitset, query_indices, query_values, x_sqnorm,
+             out, nullptr);
 }
 
 void kernel_row(const KernelParams& params, const util::CsrView& matrix,
@@ -589,7 +594,7 @@ void kernel_row(const KernelParams& params, const util::CsrView& matrix,
                 double x_sqnorm, std::span<double> out) {
   const KernelMetrics* metrics = kernel_metrics();
   const std::int64_t start = phase_begin(metrics);
-  if (!bitset_dots(bitset, x, out)) matrix.dot_all(x, out);
+  if (!bitset_dots(bitset, nullptr, out, x)) matrix.dot_all(x, out);
   dot_phase_end(metrics, params.type, start);
   kernel_transform(params, matrix, x_sqnorm, out);
 }
@@ -606,7 +611,8 @@ const util::BitsetQuery* EncodedQueryCache::get(const util::BitsetView& layout) 
   Entry& entry = entries_.emplace_back();
   entry.cols = layout.cols;
   entry.numeric_cols.assign(layout.numeric_cols.begin(), layout.numeric_cols.end());
-  entry.ok = entry.query.encode(layout, indices_, values_);
+  entry.ok = vector_ != nullptr ? entry.query.encode(layout, *vector_)
+                                : entry.query.encode(layout, indices_, values_);
   return entry.ok ? &entry.query : nullptr;
 }
 
@@ -615,18 +621,13 @@ void kernel_row(const KernelParams& params, const util::CsrView& matrix,
                 std::span<const std::uint32_t> query_indices,
                 std::span<const double> query_values, double x_sqnorm,
                 std::span<double> out, EncodedQueryCache* cache) {
-  const util::BitsetDotOps* ops = kernel_dispatch();
-  if (bitset != nullptr && ops != nullptr && cache != nullptr) {
-    if (const util::BitsetQuery* query = cache->get(*bitset)) {
-      const KernelMetrics* metrics = kernel_metrics();
-      const std::int64_t start = phase_begin(metrics);
-      util::bitset_dot_rows(*bitset, *query, out, *ops);
-      dot_phase_end(metrics, params.type, start);
-      kernel_transform(params, matrix, x_sqnorm, out);
-      return;
-    }
+  const KernelMetrics* metrics = kernel_metrics();
+  const std::int64_t start = phase_begin(metrics);
+  if (!bitset_dots(bitset, cache, out, query_indices, query_values)) {
+    matrix.dot_all(query_indices, query_values, out);
   }
-  kernel_row(params, matrix, bitset, query_indices, query_values, x_sqnorm, out);
+  dot_phase_end(metrics, params.type, start);
+  kernel_transform(params, matrix, x_sqnorm, out);
 }
 
 namespace {
@@ -661,8 +662,9 @@ void kernel_block_impl(const KernelParams& params, const util::CsrView& matrix,
   }
   if (need_fallback) {
     for (std::size_t q = 0; q < nq; ++q) {
-      if (matrix_bitset == nullptr || ops == nullptr || n == 0 ||
-          !block.ok(q)) {
+      const bool encoded = matrix_bitset != nullptr && ops != nullptr && n != 0;
+      if (encoded && !block.ok(q)) count_csr_fallback();
+      if (!encoded || !block.ok(q)) {
         matrix.dot_all(queries.row_indices(q), queries.row_values(q),
                        out.subspan(q * n, n));
       }

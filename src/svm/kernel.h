@@ -25,6 +25,8 @@ namespace wtp::svm {
 
 enum class KernelType : std::uint8_t { kLinear, kPolynomial, kRbf, kSigmoid };
 
+class EncodedQueryCache;
+
 [[nodiscard]] std::string_view to_string(KernelType type) noexcept;
 /// Throws std::runtime_error on unknown names.
 [[nodiscard]] KernelType parse_kernel_type(std::string_view text);
@@ -95,10 +97,11 @@ void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
                 std::size_t i, std::span<double> out);
 /// Query = an external vector with its squared norm precomputed (decision
 /// functions: compute the query norm once per scored vector, not once per
-/// kernel call):
+/// kernel call).  With a `cache` built over the same vector, its bitset
+/// encoding is shared with every other matrix of the same layout:
 void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
                 const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out);
+                std::span<double> out, EncodedQueryCache* cache = nullptr);
 /// Query = a CSR row borrowed from another matrix (batch scoring):
 void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
                 std::span<const std::uint32_t> query_indices,
@@ -183,6 +186,9 @@ void set_transform_mode(TransformMode mode);
 ///   kernel.transform_ns{kernel=...} — time per transform tail
 ///   kernel.transform_relaxed        — gauge, 1 when the process-wide mode
 ///                                     is relaxed
+///   kernel.csr_fallback             — queries that met a bitset block but
+///                                     did not conform to its layout, so
+///                                     their dots ran on the CSR path
 /// Process-global seam: the registry must outlive all subsequent kernel
 /// calls (tools pass obs::Registry::global()).  nullptr uninstalls; timing
 /// is a no-op when uninstalled.
@@ -238,6 +244,10 @@ class EncodedQueryCache {
   EncodedQueryCache(std::span<const std::uint32_t> query_indices,
                     std::span<const double> query_values) noexcept
       : indices_{query_indices}, values_{query_values} {}
+  /// Over a sparse vector (the serving engine's windows); `query` must
+  /// outlive the cache.
+  explicit EncodedQueryCache(const util::SparseVector& query) noexcept
+      : vector_{&query} {}
 
   /// Encoding of the query against `layout`, or nullptr when the query does
   /// not conform (callers fall back to the CSR path).
@@ -252,6 +262,7 @@ class EncodedQueryCache {
   };
   std::span<const std::uint32_t> indices_;
   std::span<const double> values_;
+  const util::SparseVector* vector_ = nullptr;  ///< else indices_/values_
   std::vector<Entry> entries_;
 };
 

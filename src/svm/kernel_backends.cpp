@@ -291,27 +291,26 @@ bool avx512_supported() {
          __builtin_cpu_supports("popcnt") != 0;
 }
 
-// Stamped from bitset_dot_body.inc below; forward-declared for the lane
-// fixups in the vectorized prefix.
-WTP_AVX512_ATTR static double
-avx512_replay_row(const util::BitsetView& m, const uint64_t* query_words,
-                  const double* query_numeric, const uint64_t* row_words,
-                  const double* row_numeric, uint64_t total);
-
 /// Vectorized prefix for the fused dot (WTP_DOT_VECTOR_PREFIX hook in
 /// bitset_dot_body.inc).  Requires the paper layout: exactly three numeric
 /// columns on consecutive bits of word 0.  Consecutive numeric columns mean
 /// the middle replay segments are structurally empty (numeric bits are never
-/// set in the words), so the combine for EVERY row — slow or not — is the
-/// same flat sequence: (double)p0, +q0*r0, +q1*r1, +q2*r2, then up to four
-/// 1.0 pads.  That sequence runs lane-parallel over 8 rows: the pads become
-/// merge-masked vaddpd (a masked-off lane is the same no-op as the scalar
-/// path's +(-0.0) pad), and lanes whose trailing popcount exceeds the pad
-/// budget are recomputed exactly via replay_row.  No data-dependent branches
-/// per row, and bit-identical to the scalar loop by the same argument.
+/// set in the words), so the combine for EVERY row is the same flat
+/// sequence: (double)p0, +q0*r0, +q1*r1, +q2*r2, then `tail` literal +1.0
+/// adds, where tail is the row's AND-popcount past the numeric columns.
+/// That sequence runs lane-parallel over groups of 8 rows; a partial last
+/// group runs on a zero-padded copy, so every row takes this path.
 ///
-/// Returns the number of leading rows handled (a multiple of 8; 0 when the
-/// layout does not match and the caller's scalar loop takes every row).
+/// The trailing 1.0-run is a masked vaddpd loop to the group's longest
+/// tail: iteration i adds +1.0 to exactly the lanes whose tail exceeds i.
+/// Each lane therefore performs the oracle's literal sequence of adds, and
+/// a masked-off lane is untouched, so no binade bookkeeping is needed and
+/// the result is bit-identical to the scalar loop by construction.  Long
+/// runs are common, not rare: on the paper shape 61% of window x support
+/// vector rows have a tail above 4 (median 5, max 45).
+///
+/// Returns the number of rows handled: all of them, or 0 when the layout
+/// does not match and the caller's scalar loop takes every row.
 ///
 /// fp-contract must stay off here: GCC's mul/add intrinsics lower to plain
 /// vector operators, and letting them fuse into vfmadd would single-round
@@ -319,14 +318,14 @@ avx512_replay_row(const util::BitsetView& m, const uint64_t* query_words,
 WTP_AVX512_ATTR size_t
 avx512_dot_rows_prefix(const util::BitsetView& m, const uint64_t* qw,
                        const double* qn, double* out) {
+  constexpr uint64_t kShortRun = 4;
   if (m.numeric_cols.size() != 3) return 0;
   const std::uint32_t c0 = m.numeric_cols[0];
   if (m.numeric_cols[1] != c0 + 1 || m.numeric_cols[2] != c0 + 2 ||
       m.numeric_cols[2] >= 64) {
     return 0;
   }
-  const size_t n8 = m.row_count & ~size_t{7};
-  if (n8 == 0) return 0;
+  const size_t n = m.row_count;
   const size_t w = m.words_per_row;
   // One full + one masked vector per row keeps the totals loop flat; wider
   // layouts than 1024 columns take the scalar specialized loop instead.
@@ -352,6 +351,7 @@ avx512_dot_rows_prefix(const util::BitsetView& m, const uint64_t* qw,
   const __m512d vqn1 = _mm512_set1_pd(qn[1]);
   const __m512d vqn2 = _mm512_set1_pd(qn[2]);
   const __m512d vone = _mm512_set1_pd(1.0);
+  const __m512i vone_i = _mm512_set1_epi64(1);
   // Stride-3 deinterleave of 24 row-major numeric doubles into one vector
   // per column: lanes below 16 come from permutex2var(z0, z1), the rest are
   // merged in from z2.
@@ -361,15 +361,31 @@ avx512_dot_rows_prefix(const util::BitsetView& m, const uint64_t* qw,
   const __m512i idx_b1 = _mm512_setr_epi64(0, 0, 0, 0, 0, 0, 3, 6);
   const __m512i idx_a2 = _mm512_setr_epi64(2, 5, 8, 11, 14, 0, 0, 0);
   const __m512i idx_b2 = _mm512_setr_epi64(0, 0, 0, 0, 0, 1, 4, 7);
-  const uint64_t* rw = m.words.data();
-  const double* rn = m.numeric_values.data();
-  for (size_t r = 0; r < n8; r += 8, rw += 8 * w, rn += 24) {
+  // Scratch for a partial last group: zero rows have zero totals and zero
+  // numerics, and their results are dropped.
+  alignas(64) uint64_t pad_words[8 * 16];
+  alignas(64) double pad_numeric[24];
+  alignas(64) double pad_out[8];
+  for (size_t r = 0; r < n; r += 8) {
+    const size_t count = std::min<size_t>(8, n - r);
+    const uint64_t* rw = m.words.data() + r * w;
+    const double* rn = m.numeric_values.data() + r * 3;
+    double* dst = out + r;
+    if (count < 8) {
+      std::fill(std::copy(rw, rw + count * w, pad_words), pad_words + 8 * w,
+                uint64_t{0});
+      std::fill(std::copy(rn, rn + count * 3, pad_numeric), pad_numeric + 24,
+                0.0);
+      rw = pad_words;
+      rn = pad_numeric;
+      dst = pad_out;
+    }
     // AND+popcount accumulators for 8 rows, horizontally summed by one
     // qword transpose-add tree — no per-row reduce, no store-forward trip
     // through a scalar buffer.
     __m512i acc[8];
-    for (int t = 0; t < 8; ++t) {
-      const uint64_t* row = rw + static_cast<size_t>(t) * w;
+    for (size_t t = 0; t < 8; ++t) {
+      const uint64_t* row = rw + t * w;
       acc[t] = _mm512_popcnt_epi64(
           _mm512_and_si512(qv0, _mm512_maskz_loadu_epi64(wmask0, row)));
       if (wtail != 0) {
@@ -412,31 +428,32 @@ avx512_dot_rows_prefix(const util::BitsetView& m, const uint64_t* qw,
     sums = _mm512_add_pd(sums, _mm512_mul_pd(vqn0, rn0));
     sums = _mm512_add_pd(sums, _mm512_mul_pd(vqn1, rn1));
     sums = _mm512_add_pd(sums, _mm512_mul_pd(vqn2, rn2));
+    // The trailing 1.0-run, literally: pass i adds +1.0 to the lanes whose
+    // tail exceeds i.  The first kShortRun passes are unrolled and run
+    // unconditionally, so short runs take no data-dependent branch; longer
+    // ones loop on to the group's longest tail.  (One loop over
+    // max(kShortRun, longest) passes measured ~8% slower on both short and
+    // paper-shape tails.)
     const __m512i tail = _mm512_sub_epi64(vtot, p0);
-    sums = _mm512_mask_add_pd(
-        sums, _mm512_cmpgt_epu64_mask(tail, _mm512_setzero_si512()), sums,
-        vone);
-    sums = _mm512_mask_add_pd(
-        sums, _mm512_cmpgt_epu64_mask(tail, _mm512_set1_epi64(1)), sums, vone);
-    sums = _mm512_mask_add_pd(
-        sums, _mm512_cmpgt_epu64_mask(tail, _mm512_set1_epi64(2)), sums, vone);
-    sums = _mm512_mask_add_pd(
-        sums, _mm512_cmpgt_epu64_mask(tail, _mm512_set1_epi64(3)), sums, vone);
-    _mm512_storeu_pd(out + r, sums);
-    const __mmask8 big = _mm512_cmpgt_epu64_mask(tail, _mm512_set1_epi64(4));
-    if (big != 0) [[unlikely]] {
-      alignas(64) uint64_t tot_buf[8];
-      _mm512_store_si512(tot_buf, vtot);
-      unsigned lanes = big;
-      while (lanes != 0) {
-        const unsigned t = static_cast<unsigned>(__builtin_ctz(lanes));
-        lanes &= lanes - 1;
-        out[r + t] =
-            avx512_replay_row(m, qw, qn, rw + t * w, rn + t * 3, tot_buf[t]);
+    __m512i done = _mm512_setzero_si512();
+    for (uint64_t i = 0; i < kShortRun; ++i) {
+      sums = _mm512_mask_add_pd(sums, _mm512_cmpgt_epu64_mask(tail, done),
+                                sums, vone);
+      done = _mm512_add_epi64(done, vone_i);
+    }
+    if (_mm512_cmpgt_epu64_mask(tail, done) != 0) {
+      const uint64_t longest =
+          static_cast<uint64_t>(_mm512_reduce_max_epu64(tail));
+      for (uint64_t i = kShortRun; i < longest; ++i) {
+        sums = _mm512_mask_add_pd(sums, _mm512_cmpgt_epu64_mask(tail, done),
+                                  sums, vone);
+        done = _mm512_add_epi64(done, vone_i);
       }
     }
+    _mm512_storeu_pd(dst, sums);
+    if (count < 8) std::copy(pad_out, pad_out + count, out + r);
   }
-  return n8;
+  return n;
 }
 
 #define WTP_DOT_VECTOR_PREFIX avx512_dot_rows_prefix

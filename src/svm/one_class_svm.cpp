@@ -163,9 +163,10 @@ double OneClassSvmModel::decision_value(const util::SparseVector& x) const {
 }
 
 double OneClassSvmModel::decision_value(const util::SparseVector& x,
-                                        double x_sqnorm) const {
+                                        double x_sqnorm,
+                                        EncodedQueryCache* cache) const {
   const auto k = kernel_row_scratch(support_vectors_.rows());
-  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k);
+  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k, cache);
   double sum = 0.0;
   for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients_[i] * k[i];
   return sum - rho_;

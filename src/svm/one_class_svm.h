@@ -76,9 +76,11 @@ class OneClassSvmModel {
 
   [[nodiscard]] double decision_value(const util::SparseVector& x) const;
   /// Variant with the query's squared norm precomputed by the caller (it is
-  /// needed once per scored vector, not once per kernel evaluation).
+  /// needed once per scored vector, not once per kernel evaluation), and
+  /// optionally a bitset encoding of `x` shared across models.
   [[nodiscard]] double decision_value(const util::SparseVector& x,
-                                      double x_sqnorm) const;
+                                      double x_sqnorm,
+                                      EncodedQueryCache* cache = nullptr) const;
   /// Batch: decision value of every row of `queries`, written to `out`.
   void decision_values(const util::FeatureMatrix& queries,
                        std::span<double> out) const;
@@ -89,6 +91,12 @@ class OneClassSvmModel {
   /// The support-vector set as an owned CSR block.
   [[nodiscard]] const util::FeatureMatrix& support_vectors() const noexcept {
     return support_vectors_;
+  }
+  /// Rebuilds the support vectors' bitset with `numeric_cols` as its
+  /// numeric layout (FeatureMatrix::ensure_bitset).  Derived state only:
+  /// decision values are unchanged.
+  void set_bitset_layout(std::span<const std::uint32_t> numeric_cols) {
+    support_vectors_.ensure_bitset(numeric_cols);
   }
   [[nodiscard]] const std::vector<double>& coefficients() const noexcept {
     return coefficients_;

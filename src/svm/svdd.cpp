@@ -182,9 +182,10 @@ double SvddModel::squared_distance_to_center(const util::SparseVector& x) const 
 }
 
 double SvddModel::squared_distance_to_center(const util::SparseVector& x,
-                                             double x_sqnorm) const {
+                                             double x_sqnorm,
+                                             EncodedQueryCache* cache) const {
   const auto k = kernel_row_scratch(support_vectors_.rows());
-  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k);
+  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k, cache);
   double cross = 0.0;
   for (std::size_t i = 0; i < k.size(); ++i) cross += coefficients_[i] * k[i];
   const double k_xx = kernel_self(kernel_, x_sqnorm);
@@ -195,9 +196,9 @@ double SvddModel::decision_value(const util::SparseVector& x) const {
   return r_squared_ - squared_distance_to_center(x);
 }
 
-double SvddModel::decision_value(const util::SparseVector& x,
-                                 double x_sqnorm) const {
-  return r_squared_ - squared_distance_to_center(x, x_sqnorm);
+double SvddModel::decision_value(const util::SparseVector& x, double x_sqnorm,
+                                 EncodedQueryCache* cache) const {
+  return r_squared_ - squared_distance_to_center(x, x_sqnorm, cache);
 }
 
 void SvddModel::decision_values(const util::FeatureMatrix& queries,

@@ -74,9 +74,11 @@ class SvddModel {
 
   /// f(x) = R^2 - squared distance of Phi(x) to the center.
   [[nodiscard]] double decision_value(const util::SparseVector& x) const;
-  /// Variant with the query's squared norm precomputed by the caller.
+  /// Variant with the query's squared norm precomputed by the caller, and
+  /// optionally a bitset encoding of `x` shared across models.
   [[nodiscard]] double decision_value(const util::SparseVector& x,
-                                      double x_sqnorm) const;
+                                      double x_sqnorm,
+                                      EncodedQueryCache* cache = nullptr) const;
   /// Batch: decision value of every row of `queries`, written to `out`.
   void decision_values(const util::FeatureMatrix& queries,
                        std::span<double> out) const;
@@ -86,12 +88,17 @@ class SvddModel {
 
   /// Squared distance ||Phi(x) - a||^2 (for diagnostics).
   [[nodiscard]] double squared_distance_to_center(const util::SparseVector& x) const;
-  [[nodiscard]] double squared_distance_to_center(const util::SparseVector& x,
-                                                  double x_sqnorm) const;
+  [[nodiscard]] double squared_distance_to_center(
+      const util::SparseVector& x, double x_sqnorm,
+      EncodedQueryCache* cache = nullptr) const;
 
   /// The support-vector set as an owned CSR block.
   [[nodiscard]] const util::FeatureMatrix& support_vectors() const noexcept {
     return support_vectors_;
+  }
+  /// As OneClassSvmModel::set_bitset_layout.
+  void set_bitset_layout(std::span<const std::uint32_t> numeric_cols) {
+    support_vectors_.ensure_bitset(numeric_cols);
   }
   [[nodiscard]] const std::vector<double>& coefficients() const noexcept {
     return coefficients_;

@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "core/sv_layout.h"
 #include "core/test_trace.h"
 
 namespace wtp::core {
@@ -146,6 +147,48 @@ TEST(ProfileStore, EmptyStoreRoundTrips) {
   store.save(stream);
   const ProfileStore loaded = ProfileStore::load(stream);
   EXPECT_TRUE(loaded.profiles().empty());
+}
+
+/// A profile trained on windows that never carry a fraction in one schema
+/// numeric column auto-detects a layout without it.  Every store — built
+/// directly or loaded — gives its SV blocks the schema layout, so windows
+/// with a fraction there (non-conforming before) score on the bitset plane,
+/// bit-identical to the CSR oracle.
+TEST(ProfileStore, GivesEverySvBlockTheSchemaLayout) {
+  const ProfilingDataset& dataset = testing::tiny_dataset();
+  const std::vector<std::uint32_t> schema_layout =
+      dataset.schema().numeric_columns();
+  const std::string user = dataset.user_ids().front();
+  const UserProfile trained = testing::profile_without_numeric_column(user);
+  const util::BitsetStorage* before = testing::sv_bitset(trained);
+  ASSERT_NE(before, nullptr);
+  const auto before_cols = before->numeric_cols();
+  ASSERT_EQ(std::count(before_cols.begin(), before_cols.end(),
+                       testing::flattened_column()),
+            0);
+  const auto windows = testing::fractional_windows(user);
+  ASSERT_FALSE(windows.empty());
+  util::BitsetQuery query;
+  for (const auto& window : windows) {
+    ASSERT_FALSE(query.encode(before->view(), window));
+  }
+
+  std::vector<UserProfile> profiles{make_store().profiles()};
+  profiles.front() = trained;
+  const ProfileStore store{kWindow, dataset.schema(), std::move(profiles)};
+  std::stringstream stream;
+  store.save(stream);
+  const ProfileStore loaded = ProfileStore::load(stream);
+  for (const ProfileStore* s : {&store, &loaded}) {
+    for (const auto& profile : s->profiles()) {
+      EXPECT_EQ(testing::sv_layout(profile), schema_layout) << profile.user_id();
+    }
+    const UserProfile& normalized = *s->find(user);
+    for (const auto& window : windows) {
+      EXPECT_TRUE(query.encode(testing::sv_bitset(normalized)->view(), window));
+    }
+    testing::expect_decisions_match_csr(normalized, windows);
+  }
 }
 
 }  // namespace

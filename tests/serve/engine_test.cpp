@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/identification.h"
+#include "core/sv_layout.h"
 #include "core/test_trace.h"
 #include "features/split.h"
 #include "serve/event.h"
@@ -369,6 +370,57 @@ TEST(DecisionEventJson, HostileUserIdCannotBreakTheLine) {
   // The smoothed identity equals the hostile true user, so the decision is
   // still judged correct — escaping must not perturb comparison semantics.
   EXPECT_NE(line.find("\"correct\":true"), std::string::npos);
+}
+
+/// A hot-swapped profile trained on an auto-detected layout gets the store
+/// schema's layout, like the construction store's profiles.
+TEST(ScoringEngine, PublishedProfileGetsTheSchemaLayout) {
+  const auto& store = tiny_store();
+  const std::vector<std::uint32_t> schema_layout =
+      store.schema().numeric_columns();
+  ScoringEngine engine{store, EngineConfig{}, [](const DecisionEvent&) {}};
+  const std::string user = store.user_ids().front();
+  const core::UserProfile fresh =
+      core::testing::profile_without_numeric_column(user);
+  ASSERT_NE(core::testing::sv_layout(fresh), schema_layout);
+  ASSERT_TRUE(engine.publish_profile(user, fresh));
+
+  const auto snapshot = engine.profiles_snapshot();
+  const core::UserProfile* swapped = nullptr;
+  for (const auto& profile : *snapshot) {
+    EXPECT_EQ(core::testing::sv_layout(profile), schema_layout)
+        << profile.user_id();
+    if (profile.user_id() == user) swapped = &profile;
+  }
+  ASSERT_NE(swapped, nullptr);
+  core::testing::expect_decisions_match_csr(
+      *swapped, core::testing::fractional_windows(user));
+}
+
+/// Every scored window reaches every SV block on the bitset plane: with one
+/// schema layout per store there is no CSR fallback, serial or pooled —
+/// even for a profile whose training layout missed a numeric column.
+TEST(ScoringEngine, ReplayScoresWithoutCsrFallback) {
+  const auto& base = tiny_store();
+  std::vector<core::UserProfile> profiles{base.profiles()};
+  profiles.front() = core::testing::profile_without_numeric_column(
+      profiles.front().user_id());
+  const core::ProfileStore store{base.window(), base.schema(),
+                                 std::move(profiles)};
+  const auto& txns = core::testing::tiny_trace().transactions;
+  for (const std::size_t threads : {0UL, 2UL}) {
+    obs::Registry registry;
+    svm::set_kernel_metrics(&registry);
+    EngineConfig config;
+    config.shards = 2;
+    config.smooth = 3;
+    config.score_threads = threads;
+    const auto by_device = run_engine(store, config, txns);
+    svm::set_kernel_metrics(nullptr);
+    EXPECT_FALSE(by_device.empty());
+    EXPECT_EQ(registry.counter("kernel.csr_fallback").value(), 0u)
+        << "score_threads=" << threads;
+  }
 }
 
 }  // namespace

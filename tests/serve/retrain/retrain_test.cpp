@@ -84,10 +84,8 @@ TEST(Retrain, DriftRetrainMatchesOfflineFitPathOracle) {
     if (profile.user_id() == user) original = &profile;
   }
   ASSERT_NE(original, nullptr);
-  const std::size_t dimension =
-      core::testing::tiny_dataset().schema().dimension();
-  const core::UserProfile oracle =
-      RetrainLoop::refit(*original, corpus, dimension);
+  const core::UserProfile oracle = RetrainLoop::refit(
+      *original, corpus, core::testing::tiny_dataset().schema());
 
   EXPECT_EQ(loop.run_once(), 1u);
 

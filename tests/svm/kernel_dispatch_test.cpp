@@ -2,8 +2,9 @@
 // must produce decision values bit-identical to the scalar reference, which
 // itself must match the CSR oracle bit for bit.  These tests sweep layouts
 // chosen to hit every combine path: the vectorized contiguous-columns
-// prefix, the specialized first-word loop, the generic replay, and the
-// chunked add_ones escalation for large trailing popcounts.
+// prefix (with its masked 1.0-run and row-masked last group), the
+// specialized first-word loop, the generic replay, and the chunked add_ones
+// escalation for large trailing popcounts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/registry.h"
 #include "svm/kernel.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
@@ -340,6 +342,145 @@ TEST(KernelDispatch, AddOnesEscalationMatchesOracle) {
       }
     }
   }
+}
+
+/// The paper shape the AVX-512 prefix serves: schema layout [6 7 8],
+/// fractional numeric prefixes whose sums cross several binades during the
+/// trailing 1.0-run, and trailing AND-popcounts from 0 to 60 mixed inside
+/// every 8-row group.  Row counts that are not multiples of 8 put a partial,
+/// row-masked group last.  Every backend must match the CSR oracle bit for
+/// bit.
+TEST(KernelDispatch, PaperShapeTailsMatchOracleOnEveryBackend) {
+  BackendGuard guard;
+  const std::vector<std::uint32_t> ncols{6, 7, 8};
+  constexpr std::size_t kDim = 843;
+  // The query's binary columns past the numeric ones: a row's trailing
+  // AND-popcount is how many of these it shares.
+  std::vector<std::size_t> shared;
+  for (std::size_t c = 9; c < kDim && shared.size() < 64; c += 13) {
+    shared.push_back(c);
+  }
+  const std::size_t tails[] = {0, 41, 3, 5, 17, 40, 1, 8, 44,
+                               2, 29, 4, 0, 12, 60, 6, 33};
+  // Row numerics: fractions, binade edges, huge values whose +1.0 steps
+  // round (at and above 2^53 a +1.0 add is absorbed), and negatives.
+  const double specials[] = {0.1,   1.0 / 3.0,        1.5 - 0x1p-40,
+                             7.3,   15.9,             31.1,
+                             -2.75, 0x1p52 - 0.5,     0x1p53 - 3.0,
+                             1e-300, 1e6 + 0.1,       0.0};
+  std::vector<util::SparseVector> rows;
+  for (std::size_t r = 0; r < 67; ++r) {
+    std::vector<util::SparseVector::Entry> entries;
+    for (std::size_t c = 0; c < r % 7 && c < 6; ++c) entries.push_back({c, 1.0});
+    entries.push_back({6, 0.1 * static_cast<double>(r + 1) + 1.0 / 3.0});
+    if (r % 3 != 0) {
+      entries.push_back({7, (static_cast<double>(r % 5) - 2.0) * 0.37 + 1e-9});
+    }
+    entries.push_back({8, specials[r % std::size(specials)]});
+    const std::size_t tail = tails[r % std::size(tails)];
+    std::set<std::size_t> cols;
+    for (std::size_t k = 0; k < tail; ++k) {
+      cols.insert(shared[(k + r) % shared.size()]);
+    }
+    // Columns the query lacks: stored bits that must not count.
+    for (std::size_t k = 0; k < 5; ++k) cols.insert(10 + 13 * (k + r) % 800);
+    for (const std::size_t c : cols) entries.push_back({c, 1.0});
+    rows.emplace_back(std::move(entries));
+  }
+  const auto tail_of = [&](const util::SparseVector& row) {
+    std::size_t count = 0;
+    for (const auto& entry : row.entries()) {
+      count += std::count(shared.begin(), shared.end(), entry.index);
+    }
+    return count;
+  };
+  for (std::size_t g = 0; g + 8 <= rows.size(); g += 8) {
+    std::size_t lo = 1000;
+    std::size_t hi = 0;
+    for (std::size_t t = g; t < g + 8; ++t) {
+      lo = std::min(lo, tail_of(rows[t]));
+      hi = std::max(hi, tail_of(rows[t]));
+    }
+    ASSERT_LE(lo, 5u) << "group " << g;
+    ASSERT_GE(hi, 40u) << "group " << g;
+  }
+
+  std::vector<util::SparseVector> queries;
+  const double query_numerics[][3] = {
+      {0.7071067811865476, -1.25e-3, 0.3},
+      {1.0 / 3.0, 2.5, 1.0},
+      {-0.2, 0.0, 0.1},
+  };
+  for (const auto& numerics : query_numerics) {
+    std::vector<util::SparseVector::Entry> entries;
+    for (std::size_t c = 0; c < 6; ++c) entries.push_back({c, 1.0});
+    for (std::size_t k = 0; k < 3; ++k) {
+      if (numerics[k] != 0.0) entries.push_back({6 + k, numerics[k]});
+    }
+    for (const std::size_t c : shared) entries.push_back({c, 1.0});
+    queries.emplace_back(std::move(entries));
+  }
+
+  const KernelParams params{KernelType::kLinear, 1.0, 0.0, 3};
+  for (const std::size_t n : {1UL, 7UL, 8UL, 9UL, 13UL, 67UL}) {
+    const std::span<const util::SparseVector> subset{rows.data(), n};
+    auto matrix = util::FeatureMatrix::from_rows(subset, kDim);
+    matrix.ensure_bitset(ncols);
+    ASSERT_NE(matrix.bitset(), nullptr) << n;
+    std::vector<double> oracle(n);
+    std::vector<double> got(n);
+    for (const auto backend : supported_kernel_backends()) {
+      for (std::size_t q = 0; q < queries.size(); ++q) {
+        const double sqn = queries[q].squared_norm();
+        set_kernel_backend_for_testing("csr");
+        kernel_row(params, matrix, queries[q], sqn, oracle);
+        set_kernel_backend_for_testing(backend);
+        kernel_row(params, matrix, queries[q], sqn, got);
+        for (std::size_t r = 0; r < n; ++r) {
+          ASSERT_EQ(bits(oracle[r]), bits(got[r]))
+              << "n=" << n << " backend=" << backend << " q=" << q
+              << " row=" << r << " tail=" << tail_of(rows[r])
+              << " oracle=" << oracle[r] << " got=" << got[r];
+        }
+      }
+    }
+  }
+}
+
+/// kernel.csr_fallback counts queries that met a bitset block but did not
+/// conform to its layout — once per query, with or without an encode cache
+/// — and nothing else.
+TEST(KernelDispatch, CsrFallbackCounterCountsNonConformingQueries) {
+  BackendGuard guard;
+  obs::Registry registry;
+  set_kernel_metrics(&registry);
+  const obs::Counter& fallbacks = registry.counter("kernel.csr_fallback");
+  util::Rng rng{17};
+  const std::vector<std::uint32_t> ncols{6, 7, 8};
+  auto rows = make_rows(rng, 12, 843, 25, ncols, 1.0);
+  auto matrix = util::FeatureMatrix::from_rows(rows, 843);
+  matrix.ensure_bitset(ncols);
+  const util::SparseVector conforming{{3, 1.0}, {7, 0.25}, {100, 1.0}};
+  const util::SparseVector fractional_binary{{3, 1.0}, {20, 0.5}};
+  const KernelParams params{KernelType::kLinear, 1.0, 0.0, 3};
+  std::vector<double> out(rows.size());
+
+  set_kernel_backend_for_testing("scalar");
+  kernel_row(params, matrix, conforming, conforming.squared_norm(), out);
+  EXPECT_EQ(fallbacks.value(), 0u);
+  kernel_row(params, matrix, fractional_binary,
+             fractional_binary.squared_norm(), out);
+  EXPECT_EQ(fallbacks.value(), 1u);
+  EncodedQueryCache cache{fractional_binary};
+  kernel_row(params, matrix, fractional_binary,
+             fractional_binary.squared_norm(), out, &cache);
+  EXPECT_EQ(fallbacks.value(), 2u);
+  // A disabled plane is not a fallback: there was no bitset path to take.
+  set_kernel_backend_for_testing("csr");
+  kernel_row(params, matrix, fractional_binary,
+             fractional_binary.squared_norm(), out);
+  EXPECT_EQ(fallbacks.value(), 2u);
+  set_kernel_metrics(nullptr);
 }
 
 }  // namespace
