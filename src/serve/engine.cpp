@@ -18,6 +18,31 @@ namespace {
 
 constexpr double kNanosPerMicro = 1e3;
 
+/// Runs `range(begin, end)` over [0, count): inline without a pool or with
+/// fewer than two items, else as one chunk per pool thread.  The per-call
+/// latch, unlike parallel_for's wait_idle(), stays correct when several
+/// ingest threads score concurrently on the shared pool.
+template <typename Range>
+void fan_out(util::ThreadPool* pool, std::size_t count, const Range& range) {
+  if (pool == nullptr || count < 2) {
+    range(std::size_t{0}, count);
+    return;
+  }
+  const std::size_t chunk_count = std::min(count, pool->thread_count());
+  const std::size_t chunk = (count + chunk_count - 1) / chunk_count;
+  const std::size_t tasks = (count + chunk - 1) / chunk;
+  std::latch done{static_cast<std::ptrdiff_t>(tasks)};
+  for (std::size_t t = 0; t < tasks; ++t) {
+    const std::size_t begin = t * chunk;
+    const std::size_t end = std::min(count, begin + chunk);
+    pool->submit([&range, &done, begin, end] {
+      range(begin, end);
+      done.count_down();
+    });
+  }
+  done.wait();
+}
+
 }  // namespace
 
 ScoringEngine::Metrics::Metrics(obs::Registry& registry)
@@ -57,12 +82,6 @@ ScoringEngine::ScoringEngine(const core::ProfileStore& store,
   }
   if (config_.score_threads > 0) {
     pool_ = std::make_unique<util::ThreadPool>(config_.score_threads);
-  }
-  if (config_.transform != svm::TransformMode::kDefault) {
-    // Process-global (see EngineConfig::transform); the decision sweeps,
-    // cascade SVM stage, and mmap ModelView scoring all route through
-    // kernel_transform, so this one switch covers every scoring path.
-    svm::set_transform_mode(config_.transform);
   }
   if (config_.plane != nullptr) {
     const auto& catalog = config_.plane->catalog();
@@ -138,37 +157,19 @@ void ScoringEngine::accept_flags(const util::SparseVector& features,
     if (cascade_out != nullptr) *cascade_out = std::move(result);
     return;
   }
-  // One query norm and one bitset encoding per scored window, shared across
-  // every profile's kernel rows: all SV blocks carry the schema layout
-  // (ProfileStore, publish_profile), so the cache encodes once.
+  // One query norm per scored window and one bitset encoding per chunk,
+  // shared across the chunk's kernel rows: all SV blocks carry the schema
+  // layout (ProfileStore, publish_profile), so the cache encodes once.
   const double sqnorm = features.squared_norm();
-  if (!pool_ || profiles.size() < 2) {
-    svm::EncodedQueryCache query_cache{features};
-    for (std::size_t i = 0; i < profiles.size(); ++i) {
-      flags[i] = profiles[i].accepts(features, sqnorm, &query_cache) ? 1 : 0;
-    }
-    return;
-  }
-  // Chunked fan-out with a per-call latch: unlike parallel_for's
-  // wait_idle(), this stays correct when several ingest threads score
-  // concurrently on the shared pool.
-  const std::size_t chunk_count =
-      std::min(profiles.size(), pool_->thread_count());
-  const std::size_t chunk = (profiles.size() + chunk_count - 1) / chunk_count;
-  const std::size_t tasks = (profiles.size() + chunk - 1) / chunk;
-  std::latch done{static_cast<std::ptrdiff_t>(tasks)};
-  for (std::size_t t = 0; t < tasks; ++t) {
-    const std::size_t begin = t * chunk;
-    const std::size_t end = std::min(profiles.size(), begin + chunk);
-    pool_->submit([&profiles, &features, &flags, &done, sqnorm, begin, end] {
-      svm::EncodedQueryCache query_cache{features};
-      for (std::size_t i = begin; i < end; ++i) {
-        flags[i] = profiles[i].accepts(features, sqnorm, &query_cache) ? 1 : 0;
-      }
-      done.count_down();
-    });
-  }
-  done.wait();
+  fan_out(pool_.get(), profiles.size(),
+          [&profiles, &features, &flags, sqnorm](std::size_t begin,
+                                                  std::size_t end) {
+            svm::EncodedQueryCache query_cache{features};
+            for (std::size_t i = begin; i < end; ++i) {
+              flags[i] =
+                  profiles[i].accepts(features, sqnorm, &query_cache) ? 1 : 0;
+            }
+          });
 }
 
 void ScoringEngine::observe_decision(
@@ -227,26 +228,19 @@ void ScoringEngine::observe_decision(
   }
 }
 
-void ScoringEngine::score_and_emit(DeviceSession& session,
-                                   const PendingWindow& pending,
-                                   EventSource source,
-                                   const ProfileVector& profiles,
-                                   const DecisionTrace* trace) {
-  const obs::TraceSpan span{
-      "serve.score", "serve",
-      static_cast<std::uint64_t>(pending.window.transaction_count)};
-  const util::Stopwatch stopwatch;
+void ScoringEngine::emit_decision(DeviceSession& session,
+                                  const PendingWindow& pending,
+                                  std::span<const char> flags,
+                                  const ProfileVector& profiles,
+                                  EventSource source, const DecisionTrace* trace,
+                                  const util::Stopwatch* stopwatch,
+                                  double score_ns,
+                                  const index::IdentificationResult* cascade) {
   core::IdentificationEvent event;
   event.window_start = pending.window.start;
   event.window_end = pending.window.end;
   event.transaction_count = pending.window.transaction_count;
   event.true_user = pending.true_user;
-
-  std::vector<char> flags;
-  index::IdentificationResult cascade;
-  const bool want_cascade = trace != nullptr && config_.plane != nullptr;
-  accept_flags(pending.window.features, flags, profiles,
-               want_cascade ? &cascade : nullptr);
   for (std::size_t i = 0; i < profiles.size(); ++i) {
     if (flags[i]) event.accepted_by.push_back(profiles[i].user_id());
   }
@@ -274,13 +268,32 @@ void ScoringEngine::score_and_emit(DeviceSession& session,
     metrics_.decisions.add(1);
     if (out.correct()) metrics_.correct.add(1);
   }
-  const double score_ns = stopwatch.elapsed_micros() * kNanosPerMicro;
+  if (stopwatch != nullptr) {
+    score_ns = stopwatch->elapsed_micros() * kNanosPerMicro;
+  }
   metrics_.score_ns.record_ns(score_ns);
   if (trace != nullptr) {
-    observe_decision(*trace, out, static_cast<std::int64_t>(score_ns),
-                     want_cascade ? &cascade : nullptr);
+    observe_decision(*trace, out, static_cast<std::int64_t>(score_ns), cascade);
   }
   sink_(out);
+}
+
+void ScoringEngine::score_and_emit(DeviceSession& session,
+                                   const PendingWindow& pending,
+                                   EventSource source,
+                                   const ProfileVector& profiles,
+                                   const DecisionTrace* trace) {
+  const obs::TraceSpan span{
+      "serve.score", "serve",
+      static_cast<std::uint64_t>(pending.window.transaction_count)};
+  const util::Stopwatch stopwatch;
+  std::vector<char> flags;
+  index::IdentificationResult cascade;
+  const bool want_cascade = trace != nullptr && config_.plane != nullptr;
+  accept_flags(pending.window.features, flags, profiles,
+               want_cascade ? &cascade : nullptr);
+  emit_decision(session, pending, flags, profiles, source, trace, &stopwatch,
+                0.0, want_cascade ? &cascade : nullptr);
 }
 
 void ScoringEngine::score_and_emit_batch(DeviceSession& session,
@@ -314,76 +327,26 @@ void ScoringEngine::score_and_emit_batch(DeviceSession& session,
   windows.ensure_bitset(store_->schema().numeric_columns());
 
   std::vector<double> decisions(profiles.size() * w);
-  const auto score_range = [&](std::size_t begin, std::size_t end) {
-    for (std::size_t i = begin; i < end; ++i) {
-      profiles[i].decision_values(
-          windows, std::span{decisions}.subspan(i * w, w));
-    }
-  };
-  if (!pool_ || profiles.size() < 2) {
-    score_range(0, profiles.size());
-  } else {
-    const std::size_t chunk_count =
-        std::min(profiles.size(), pool_->thread_count());
-    const std::size_t chunk = (profiles.size() + chunk_count - 1) / chunk_count;
-    const std::size_t tasks = (profiles.size() + chunk - 1) / chunk;
-    std::latch done{static_cast<std::ptrdiff_t>(tasks)};
-    for (std::size_t t = 0; t < tasks; ++t) {
-      const std::size_t begin = t * chunk;
-      const std::size_t end = std::min(profiles.size(), begin + chunk);
-      pool_->submit([&score_range, &done, begin, end] {
-        score_range(begin, end);
-        done.count_down();
-      });
-    }
-    done.wait();
-  }
+  fan_out(pool_.get(), profiles.size(),
+          [&profiles, &windows, &decisions, w](std::size_t begin,
+                                               std::size_t end) {
+            for (std::size_t i = begin; i < end; ++i) {
+              profiles[i].decision_values(
+                  windows, std::span{decisions}.subspan(i * w, w));
+            }
+          });
 
   // Emit in window order — the session's K-consecutive smoothing is
   // order-dependent.
   const double per_window_ns =
       stopwatch.elapsed_micros() * kNanosPerMicro / static_cast<double>(w);
+  std::vector<char> flags(profiles.size());
   for (std::size_t t = 0; t < w; ++t) {
-    core::IdentificationEvent event;
-    event.window_start = pending[t].window.start;
-    event.window_end = pending[t].window.end;
-    event.transaction_count = pending[t].window.transaction_count;
-    event.true_user = pending[t].true_user;
     for (std::size_t i = 0; i < profiles.size(); ++i) {
-      if (decisions[i * w + t] >= 0.0) {
-        event.accepted_by.push_back(profiles[i].user_id());
-      }
+      flags[i] = decisions[i * w + t] >= 0.0 ? 1 : 0;
     }
-    if (config_.collector != nullptr && !event.true_user.empty()) {
-      config_.collector->observe(event.true_user, pending[t].window.features,
-                                 event.accepted(event.true_user));
-    }
-
-    DecisionEvent out;
-    out.device_id = session.device_id();
-    out.window_start = event.window_start;
-    out.window_end = event.window_end;
-    out.transaction_count = event.transaction_count;
-    out.true_user = event.true_user;
-    out.identity = session.decide(event);
-    out.accepted_by = std::move(event.accepted_by);
-    out.source = source;
-    if (trace != nullptr) {
-      out.trace_id = trace->id;
-      out.trace_flow = trace->flow;
-    }
-
-    metrics_.windows.add(1);
-    if (out.decided()) {
-      metrics_.decisions.add(1);
-      if (out.correct()) metrics_.correct.add(1);
-    }
-    metrics_.score_ns.record_ns(per_window_ns);
-    if (trace != nullptr) {
-      observe_decision(*trace, out, static_cast<std::int64_t>(per_window_ns),
-                       nullptr);
-    }
-    sink_(out);
+    emit_decision(session, pending[t], flags, profiles, source, trace, nullptr,
+                  per_window_ns, nullptr);
   }
 }
 

@@ -31,8 +31,8 @@
 #include "serve/event.h"
 #include "serve/metrics.h"
 #include "serve/session.h"
-#include "svm/kernel.h"
 #include "util/histogram.h"
+#include "util/stopwatch.h"
 #include "util/thread_pool.h"
 
 namespace wtp::serve {
@@ -76,14 +76,6 @@ struct EngineConfig {
   /// per-cascade-stage splits when a plane is set) and recorded when its
   /// total crosses the log's threshold.  Must outlive the engine.
   obs::SlowLog* slow_log = nullptr;
-  /// Kernel-transform precision tier for this process's scoring sweeps
-  /// (DESIGN §14).  kDefault keeps whatever the process mode already is
-  /// (WTP_TRANSFORM_MODE, exact when unset); kExact / kRelaxed call
-  /// svm::set_transform_mode at engine construction.  NOTE: the transform
-  /// mode is process-global, not per-engine — the last engine constructed
-  /// with a non-default value wins.  Training is unaffected either way
-  /// (the solver pins the exact tier).
-  svm::TransformMode transform = svm::TransformMode::kDefault;
 };
 
 class ScoringEngine {
@@ -197,6 +189,19 @@ class ScoringEngine {
                             std::span<const PendingWindow> pending,
                             EventSource source, const ProfileVector& profiles,
                             const DecisionTrace* trace = nullptr);
+
+  /// The tail both scoring paths share: builds the window's event from the
+  /// per-profile accept `flags` (store order), reports it to the collector,
+  /// smooths it into a DecisionEvent, bumps the counters and the score
+  /// timer, attributes it, and hands it to the sink.  The window is billed
+  /// `stopwatch`'s elapsed time, read after the counters, when `stopwatch`
+  /// is set (per-window path), else `score_ns` (a burst's per-window
+  /// share).  `cascade` is null when no plane ran.
+  void emit_decision(DeviceSession& session, const PendingWindow& pending,
+                     std::span<const char> flags, const ProfileVector& profiles,
+                     EventSource source, const DecisionTrace* trace,
+                     const util::Stopwatch* stopwatch, double score_ns,
+                     const index::IdentificationResult* cascade);
 
   /// accepts() of every profile over the vector, in store order; fans out
   /// across the pool when one is configured.  When a cascade plane is set

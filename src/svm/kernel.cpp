@@ -532,73 +532,6 @@ void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
   kernel_transform(params, matrix.view(), matrix.sq_norm(i), out);
 }
 
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out, EncodedQueryCache* cache) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  util::BitsetView view_storage;
-  const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
-  if (!bitset_dots(bits, cache, out, x)) matrix.dot_all(x, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix.view(), x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  util::BitsetView view_storage;
-  const util::BitsetView* bits = matrix_bitset_view(matrix, &view_storage);
-  if (!bitset_dots(bits, nullptr, out, query_indices, query_values)) {
-    matrix.dot_all(query_indices, query_values, out);
-  }
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix.view(), x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  matrix.dot_all(query_indices, query_values, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  matrix.dot_all(x, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out) {
-  kernel_row(params, matrix, bitset, query_indices, query_values, x_sqnorm,
-             out, nullptr);
-}
-
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset, const util::SparseVector& x,
-                double x_sqnorm, std::span<double> out) {
-  const KernelMetrics* metrics = kernel_metrics();
-  const std::int64_t start = phase_begin(metrics);
-  if (!bitset_dots(bitset, nullptr, out, x)) matrix.dot_all(x, out);
-  dot_phase_end(metrics, params.type, start);
-  kernel_transform(params, matrix, x_sqnorm, out);
-}
-
 const util::BitsetQuery* EncodedQueryCache::get(const util::BitsetView& layout) {
   for (const Entry& entry : entries_) {
     if (entry.cols == layout.cols &&
@@ -630,14 +563,29 @@ void kernel_row(const KernelParams& params, const util::CsrView& matrix,
   kernel_transform(params, matrix, x_sqnorm, out);
 }
 
-namespace {
+void kernel_row(const KernelParams& params, const util::CsrView& matrix,
+                const util::BitsetView* bitset, const util::SparseVector& x,
+                double x_sqnorm, std::span<double> out,
+                EncodedQueryCache* cache) {
+  const KernelMetrics* metrics = kernel_metrics();
+  const std::int64_t start = phase_begin(metrics);
+  if (!bitset_dots(bitset, cache, out, x)) matrix.dot_all(x, out);
+  dot_phase_end(metrics, params.type, start);
+  kernel_transform(params, matrix, x_sqnorm, out);
+}
 
-/// Shared core of the kernel_block overloads.
-void kernel_block_impl(const KernelParams& params, const util::CsrView& matrix,
-                       const util::BitsetView* matrix_bitset,
-                       const util::CsrView& queries,
-                       const util::BitsetView* queries_bitset,
-                       std::span<double> out) {
+void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
+                const util::SparseVector& x, double x_sqnorm,
+                std::span<double> out, EncodedQueryCache* cache) {
+  util::BitsetView view_storage;
+  kernel_row(params, matrix.view(), matrix_bitset_view(matrix, &view_storage),
+             x, x_sqnorm, out, cache);
+}
+
+void kernel_block(const KernelParams& params, const util::CsrView& matrix,
+                  const util::BitsetView* matrix_bitset,
+                  const util::CsrView& queries,
+                  const util::BitsetView* queries_bitset, std::span<double> out) {
   const std::size_t n = matrix.rows();
   const std::size_t nq = queries.rows();
   if (nq == 0) return;
@@ -678,35 +626,16 @@ void kernel_block_impl(const KernelParams& params, const util::CsrView& matrix,
   }
 }
 
-}  // namespace
-
-void kernel_block(const KernelParams& params, const util::CsrView& matrix,
-                  const util::BitsetView* matrix_bitset,
-                  const util::CsrView& queries,
-                  const util::BitsetView* queries_bitset, std::span<double> out) {
-  kernel_block_impl(params, matrix, matrix_bitset, queries, queries_bitset, out);
-}
-
 void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::size_t query_begin,
-                  std::size_t query_count, std::span<double> out) {
+                  const util::FeatureMatrix& queries, std::span<double> out) {
   util::BitsetView matrix_storage;
   const util::BitsetView* matrix_bits = matrix_bitset_view(matrix, &matrix_storage);
   util::BitsetView query_storage;
-  const util::BitsetView* query_bits = nullptr;
-  if (matrix_bits != nullptr &&
-      matrix_bitset_view(queries, &query_storage) != nullptr) {
-    query_storage = query_storage.rows_slice(query_begin, query_count);
-    query_bits = &query_storage;
-  }
-  kernel_block_impl(params, matrix.view(), matrix_bits,
-                    queries.view().rows_slice(query_begin, query_count),
-                    query_bits, out);
-}
-
-void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::span<double> out) {
-  kernel_block(params, matrix, queries, 0, queries.rows(), out);
+  const util::BitsetView* query_bits =
+      matrix_bits != nullptr ? matrix_bitset_view(queries, &query_storage)
+                             : nullptr;
+  kernel_block(params, matrix.view(), matrix_bits, queries.view(), query_bits,
+               out);
 }
 
 std::string describe(const KernelParams& params) {

@@ -85,42 +85,37 @@ struct KernelParams {
 /// k(x, x) from a cached squared norm (FeatureMatrix rows, scored queries).
 [[nodiscard]] double kernel_self(const KernelParams& params, double sq_norm);
 
-/// Batch kernel evaluation: one row of K against *all* rows of a
-/// FeatureMatrix in a single pass.  The query is scattered into a dense
-/// scratch once, every matrix row then streams contiguous CSR entries, and
-/// the kernel transform is applied kernel-hoisted over the whole row.
-/// Results are bit-identical to per-pair kernel_eval with cached norms.
-/// `out` must hold matrix.rows() elements.
+/// Batch kernel evaluation: one row of K against *all* rows of a matrix in
+/// a single pass, the kernel transform applied kernel-hoisted over the
+/// whole row.  Results are bit-identical to per-pair kernel_eval with
+/// cached norms.  `out` must hold matrix.rows() elements.
 ///
-/// Query = row i of the matrix itself:
+/// Query = row i of the matrix itself (the SMO solver's Gram rows):
 void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
                 std::size_t i, std::span<double> out);
+
 /// Query = an external vector with its squared norm precomputed (decision
-/// functions: compute the query norm once per scored vector, not once per
-/// kernel call).  With a `cache` built over the same vector, its bitset
-/// encoding is shared with every other matrix of the same layout:
+/// functions compute the query norm once per scored vector, not once per
+/// kernel call).  This is the one scoring core: svm::ModelView calls it
+/// for heap models and memory-mapped blobs alike.  When `bitset` is
+/// non-null and the query conforms to its layout, the dots go through the
+/// dispatched AND+popcount backend, else through the CSR oracle.  With a
+/// `cache` built over the same query, its bitset encoding is shared with
+/// every other block of the same layout.
+void kernel_row(const KernelParams& params, const util::CsrView& matrix,
+                const util::BitsetView* bitset,
+                std::span<const std::uint32_t> query_indices,
+                std::span<const double> query_values, double x_sqnorm,
+                std::span<double> out, EncodedQueryCache* cache = nullptr);
+void kernel_row(const KernelParams& params, const util::CsrView& matrix,
+                const util::BitsetView* bitset, const util::SparseVector& x,
+                double x_sqnorm, std::span<double> out,
+                EncodedQueryCache* cache = nullptr);
+/// The same over a FeatureMatrix and its cached bitset companion (the
+/// tests' and benches' entry point; forwards to the CsrView core).
 void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
                 const util::SparseVector& x, double x_sqnorm,
                 std::span<double> out, EncodedQueryCache* cache = nullptr);
-/// Query = a CSR row borrowed from another matrix (batch scoring):
-void kernel_row(const KernelParams& params, const util::FeatureMatrix& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out);
-
-/// Non-owning variants over a util::CsrView — the zero-copy path used by
-/// memory-mapped support-vector blocks (model_io's blob plane).  Same
-/// implementation as the FeatureMatrix overloads (which forward here), so
-/// results are bit-identical regardless of who owns the rows.
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out);
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::SparseVector& x, double x_sqnorm,
-                std::span<double> out);
-void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
-                      double x_sqnorm, std::span<double> inout);
 
 // ----------------------------------------------------------------------
 // kernel_dispatch seam (DESIGN §11).
@@ -197,34 +192,17 @@ void set_kernel_metrics(obs::Registry* registry);
 /// Multi-query batch: out[q * matrix.rows() + r] = k(query_q, row_r) for
 /// every row of `queries` — the blocked mini-popcount-GEMM behind batched
 /// decision functions.  Bit-identical to per-query kernel_row.  When both
-/// matrices share a bitset layout (e.g. schema-derived via
+/// blocks carry a bitset of the same layout (e.g. schema-derived via
 /// FeatureMatrix::ensure_bitset) the query encodings are borrowed
-/// zero-copy.  `out` must hold queries.rows() * matrix.rows() elements.
-void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::span<double> out);
-/// Query rows [query_begin, query_begin + query_count) only — lets callers
-/// tile large query sets to bound the out-block (out needs query_count *
-/// matrix.rows() elements).
-void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
-                  const util::FeatureMatrix& queries, std::size_t query_begin,
-                  std::size_t query_count, std::span<double> out);
-/// Non-owning variant (mmap'd SV blocks): `matrix_bitset` may be null.
+/// zero-copy.  Either bitset may be null.  `out` must hold
+/// queries.rows() * matrix.rows() elements.
 void kernel_block(const KernelParams& params, const util::CsrView& matrix,
                   const util::BitsetView* matrix_bitset,
                   const util::CsrView& queries,
                   const util::BitsetView* queries_bitset, std::span<double> out);
-
-/// Bitset-aware variants of kernel_row over a raw CsrView (the mmap'd model
-/// path): when `bitset` is non-null and the query conforms, dots go through
-/// the dispatched backend.
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out);
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset, const util::SparseVector& x,
-                double x_sqnorm, std::span<double> out);
+/// The same over two FeatureMatrix blocks and their cached bitsets.
+void kernel_block(const KernelParams& params, const util::FeatureMatrix& matrix,
+                  const util::FeatureMatrix& queries, std::span<double> out);
 
 /// Raw dots (no kernel transform) of every matrix row with a query, routed
 /// through the bitset plane when possible.  Bit-identical to
@@ -266,18 +244,13 @@ class EncodedQueryCache {
   std::vector<Entry> entries_;
 };
 
-/// kernel_row with a shared encode cache (see EncodedQueryCache).
-void kernel_row(const KernelParams& params, const util::CsrView& matrix,
-                const util::BitsetView* bitset,
-                std::span<const std::uint32_t> query_indices,
-                std::span<const double> query_values, double x_sqnorm,
-                std::span<double> out, EncodedQueryCache* cache);
-
 /// In-place kernel transform of a raw dot-product row: `inout[j]` holds
 /// x . row_j on entry and k(x, row_j) on return.  This is the cheap scalar
 /// tail of kernel_row — every grid-search kernel is such a transform of the
 /// same Gram row, which is what lets a sweep share dot products across
 /// kernels (GramCache).  Bit-identical to kernel_row given the same dots.
+void kernel_transform(const KernelParams& params, const util::CsrView& matrix,
+                      double x_sqnorm, std::span<double> inout);
 void kernel_transform(const KernelParams& params,
                       const util::FeatureMatrix& matrix, double x_sqnorm,
                       std::span<double> inout);

@@ -493,35 +493,54 @@ ModelView view_model_blob(std::span<const std::byte> blob) {
   return view;
 }
 
-double ModelView::decision_value(std::span<const std::uint32_t> query_indices,
-                                 std::span<const double> query_values,
-                                 double x_sqnorm) const {
-  return decision_value(query_indices, query_values, x_sqnorm, nullptr);
+namespace {
+
+/// sum_i coefficients[i] * k[i], in row order: the reduction every decision
+/// (per query and batched) shares, so they agree bit for bit.
+double weighted_sum(std::span<const double> coefficients,
+                    std::span<const double> k) {
+  double sum = 0.0;
+  for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients[i] * k[i];
+  return sum;
+}
+
+/// Finishes a decision from its kernel expansion (paper eqs. 6 and 12).
+double finish(const ModelView& view, double expansion, double x_sqnorm) {
+  if (view.model_type == kBlobModelOneClass) return expansion - view.scalar0;
+  const double k_xx = kernel_self(view.kernel, x_sqnorm);
+  return view.scalar0 - (k_xx - 2.0 * expansion + view.scalar1);
+}
+
+/// The kernel expansion of one query, given as a SparseVector or as
+/// (indices, values).
+template <typename... Query>
+double expansion_of(const ModelView& view, double x_sqnorm,
+                    EncodedQueryCache* cache, const Query&... query) {
+  const auto k = kernel_row_scratch(view.support_vectors.rows());
+  kernel_row(view.kernel, view.support_vectors,
+             view.has_bitset ? &view.sv_bitset : nullptr, query..., x_sqnorm,
+             k, cache);
+  return weighted_sum(view.coefficients, k);
+}
+
+}  // namespace
+
+double ModelView::expansion(const util::SparseVector& x, double x_sqnorm,
+                            EncodedQueryCache* cache) const {
+  return expansion_of(*this, x_sqnorm, cache, x);
 }
 
 double ModelView::decision_value(std::span<const std::uint32_t> query_indices,
                                  std::span<const double> query_values,
                                  double x_sqnorm, EncodedQueryCache* cache) const {
-  const auto k = kernel_row_scratch(support_vectors.rows());
-  kernel_row(kernel, support_vectors, has_bitset ? &sv_bitset : nullptr,
-             query_indices, query_values, x_sqnorm, k, cache);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients[i] * k[i];
-  if (model_type == kBlobModelOneClass) return sum - scalar0;
-  const double k_xx = kernel_self(kernel, x_sqnorm);
-  return scalar0 - (k_xx - 2.0 * sum + scalar1);
+  return finish(*this,
+                expansion_of(*this, x_sqnorm, cache, query_indices, query_values),
+                x_sqnorm);
 }
 
-double ModelView::decision_value(const util::SparseVector& x,
-                                 double x_sqnorm) const {
-  const auto k = kernel_row_scratch(support_vectors.rows());
-  kernel_row(kernel, support_vectors, has_bitset ? &sv_bitset : nullptr, x,
-             x_sqnorm, k);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients[i] * k[i];
-  if (model_type == kBlobModelOneClass) return sum - scalar0;
-  const double k_xx = kernel_self(kernel, x_sqnorm);
-  return scalar0 - (k_xx - 2.0 * sum + scalar1);
+double ModelView::decision_value(const util::SparseVector& x, double x_sqnorm,
+                                 EncodedQueryCache* cache) const {
+  return finish(*this, expansion(x, x_sqnorm, cache), x_sqnorm);
 }
 
 double ModelView::decision_value(const util::SparseVector& x) const {
@@ -557,14 +576,8 @@ void ModelView::decision_values(const util::FeatureMatrix& queries,
     kernel_block(kernel, support_vectors, has_bitset ? &sv_bitset : nullptr,
                  queries.view().rows_slice(q0, tile), slice_bits, k);
     for (std::size_t t = 0; t < tile; ++t) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) sum += coefficients[i] * k[t * n + i];
-      if (model_type == kBlobModelOneClass) {
-        out[q0 + t] = sum - scalar0;
-      } else {
-        const double k_xx = kernel_self(kernel, queries.sq_norm(q0 + t));
-        out[q0 + t] = scalar0 - (k_xx - 2.0 * sum + scalar1);
-      }
+      out[q0 + t] = finish(*this, weighted_sum(coefficients, k.subspan(t * n, n)),
+                           queries.sq_norm(q0 + t));
     }
   }
 }

@@ -92,9 +92,11 @@ constexpr std::uint32_t kBlobModelOneClass = 0;
 constexpr std::uint32_t kBlobModelSvdd = 1;
 
 /// Non-owning decision-capable view of one model, either over a binary blob
-/// (mmap) or borrowed from a heap model (view_of).  Scoring goes through the
-/// same CsrView kernel_row path in both cases, so decision values are
-/// bit-identical regardless of who owns the support vectors.
+/// (mmap) or borrowed from a heap model (view_of).  This is the one place
+/// an SVM decision is computed: OneClassSvmModel and SvddModel forward
+/// their decision functions here through view_of, so heap models, mapped
+/// stores and the cascade all score through the same kernel expansion,
+/// the same finishing formulas and the same query tiling.
 struct ModelView {
   std::uint32_t model_type = kBlobModelOneClass;
   KernelParams kernel;
@@ -111,22 +113,25 @@ struct ModelView {
   [[nodiscard]] std::size_t sv_count() const noexcept {
     return support_vectors.rows();
   }
-  /// Same arithmetic (same expressions, same order) as the heap models'
-  /// decision_value, replicated over the view.
-  [[nodiscard]] double decision_value(std::span<const std::uint32_t> query_indices,
-                                      std::span<const double> query_values,
-                                      double x_sqnorm) const;
-  [[nodiscard]] double decision_value(const util::SparseVector& x,
-                                      double x_sqnorm) const;
-  [[nodiscard]] double decision_value(const util::SparseVector& x) const;
-  /// As above with a shared query-encoding cache (cascade fan-outs score
-  /// one window against many same-layout SV blocks); `cache` may be null.
+  /// The kernel expansion sum_i coef_i k(sv_i, x) that both decision
+  /// functions share (paper eqs. 6 and 12).  `cache` may be null.
+  [[nodiscard]] double expansion(const util::SparseVector& x, double x_sqnorm,
+                                 EncodedQueryCache* cache = nullptr) const;
+  /// f(x) = expansion - rho (one_class) or
+  /// R^2 - (k(x, x) - 2 expansion + alpha^T K alpha) (svdd).  `cache` (may
+  /// be null) shares the query's bitset encoding across same-layout SV
+  /// blocks (the engine's and the cascade's per-window fan-outs).
   [[nodiscard]] double decision_value(std::span<const std::uint32_t> query_indices,
                                       std::span<const double> query_values,
                                       double x_sqnorm,
-                                      EncodedQueryCache* cache) const;
-  /// Batched decisions over every row of `queries` (kernel_block path),
-  /// bit-identical to per-row decision_value.  `out` needs queries.rows().
+                                      EncodedQueryCache* cache = nullptr) const;
+  [[nodiscard]] double decision_value(const util::SparseVector& x,
+                                      double x_sqnorm,
+                                      EncodedQueryCache* cache = nullptr) const;
+  [[nodiscard]] double decision_value(const util::SparseVector& x) const;
+  /// Batched decisions over every row of `queries` (kernel_block in tiles
+  /// of 64 queries), bit-identical to per-row decision_value.  `out` needs
+  /// queries.rows().
   void decision_values(const util::FeatureMatrix& queries,
                        std::span<double> out) const;
 };
@@ -145,8 +150,10 @@ std::size_t append_model_blob(std::vector<std::byte>& out, const AnySvmModel& mo
 /// guarantee this).  Throws std::runtime_error on any malformation.
 [[nodiscard]] ModelView view_model_blob(std::span<const std::byte> blob);
 
-/// Borrowed views of heap models — the bridge that lets one scoring path
-/// serve both storage backends.  Valid while the model is.
+/// Borrowed views of heap models: the heap models' own decision functions
+/// score through these.  Attaches the SV matrix's cached bitset (building
+/// it on first use) unless the bitset plane is disabled.  Valid while the
+/// model is.
 [[nodiscard]] ModelView view_of(const OneClassSvmModel& model);
 [[nodiscard]] ModelView view_of(const SvddModel& model);
 [[nodiscard]] ModelView view_of(const AnySvmModel& model);

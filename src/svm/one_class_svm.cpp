@@ -6,6 +6,7 @@
 
 #include "obs/registry.h"
 #include "obs/trace.h"
+#include "svm/model_io.h"
 #include "svm/smo_solver.h"
 
 namespace wtp::svm {
@@ -159,41 +160,18 @@ OneClassSvmModel OneClassSvmModel::from_parts(
 }
 
 double OneClassSvmModel::decision_value(const util::SparseVector& x) const {
-  return decision_value(x, x.squared_norm());
+  return view_of(*this).decision_value(x);
 }
 
 double OneClassSvmModel::decision_value(const util::SparseVector& x,
                                         double x_sqnorm,
                                         EncodedQueryCache* cache) const {
-  const auto k = kernel_row_scratch(support_vectors_.rows());
-  kernel_row(kernel_, support_vectors_, x, x_sqnorm, k, cache);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < k.size(); ++i) sum += coefficients_[i] * k[i];
-  return sum - rho_;
+  return view_of(*this).decision_value(x, x_sqnorm, cache);
 }
 
 void OneClassSvmModel::decision_values(const util::FeatureMatrix& queries,
                                        std::span<double> out) const {
-  // Batched through kernel_block in bounded query tiles; the coefficient
-  // reduction per query is unchanged, so results stay bit-identical to the
-  // per-query kernel_row path.
-  const std::size_t n = support_vectors_.rows();
-  const std::size_t nq = queries.rows();
-  constexpr std::size_t kQueryTile = 64;
-  thread_local std::vector<double> block;
-  if (block.size() < std::min(kQueryTile, nq) * n) {
-    block.resize(std::min(kQueryTile, nq) * n);
-  }
-  for (std::size_t q0 = 0; q0 < nq; q0 += kQueryTile) {
-    const std::size_t tile = std::min(kQueryTile, nq - q0);
-    const std::span<double> k{block.data(), tile * n};
-    kernel_block(kernel_, support_vectors_, queries, q0, tile, k);
-    for (std::size_t t = 0; t < tile; ++t) {
-      double sum = 0.0;
-      for (std::size_t i = 0; i < n; ++i) sum += coefficients_[i] * k[t * n + i];
-      out[q0 + t] = sum - rho_;
-    }
-  }
+  view_of(*this).decision_values(queries, out);
 }
 
 }  // namespace wtp::svm

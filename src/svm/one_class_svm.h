@@ -12,8 +12,8 @@
 //
 // Training consumes a util::FeatureMatrix (the canonical CSR data plane);
 // the trained support-vector set is kept as a compact owned FeatureMatrix
-// block so decision functions stream SVs contiguously through the batch
-// kernel path.
+// block.  Decision functions forward to svm::ModelView (model_io.h) through
+// view_of, the one scoring path heap and memory-mapped models share.
 #pragma once
 
 #include <cstddef>

@@ -11,7 +11,9 @@
 //        = (R^2 - alpha^T K alpha) + 2 sum_i alpha_i k(x_i, x) - k(x, x) >= 0.
 //
 // Training consumes a util::FeatureMatrix; the support-vector set is kept
-// as a compact owned FeatureMatrix block streamed by the batch kernel path.
+// as a compact owned FeatureMatrix block.  Decision functions forward to
+// svm::ModelView (model_io.h) through view_of, the one scoring path heap and
+// memory-mapped models share.
 #pragma once
 
 #include <cstddef>

@@ -76,11 +76,17 @@ TEST(KernelEquivalence, KernelRowMatchesPerPairKernelEval) {
             << svm::describe(params) << " pair (" << i << "," << j << ")";
       }
     }
-    // Borrowed-CSR-row overload (batch scoring path).
+    // Borrowed-CSR-row overload (the mapped cascade's scoring path), over
+    // the matrix's cached bitset when it has one.
     const auto query_matrix = util::FeatureMatrix::from_rows(queries, kDim);
+    const util::BitsetStorage* bitset = matrix.bitset();
+    const util::BitsetView bitset_view =
+        bitset != nullptr ? bitset->view() : util::BitsetView{};
     for (std::size_t q = 0; q < query_matrix.rows(); ++q) {
-      svm::kernel_row(params, matrix, query_matrix.row_indices(q),
-                      query_matrix.row_values(q), query_matrix.sq_norm(q), out);
+      svm::kernel_row(params, matrix.view(),
+                      bitset != nullptr ? &bitset_view : nullptr,
+                      query_matrix.row_indices(q), query_matrix.row_values(q),
+                      query_matrix.sq_norm(q), out);
       for (std::size_t j = 0; j < rows.size(); ++j) {
         EXPECT_EQ(out[j], svm::kernel_eval(params, queries[q], rows[j],
                                            queries[q].squared_norm(),

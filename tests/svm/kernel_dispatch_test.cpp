@@ -118,10 +118,17 @@ TEST(KernelDispatch, UnknownBackendThrows) {
 
 TEST(KernelDispatch, CsrSentinelDisablesBitsetPlane) {
   BackendGuard guard;
+  // "" re-selects from the environment, which may itself pin csr
+  // (WTP_KERNEL_BACKEND=csr): it must restore exactly the prior selection.
+  const std::string selected{kernel_backend_name()};
   set_kernel_backend_for_testing("csr");
   EXPECT_EQ(kernel_dispatch(), nullptr);
   EXPECT_EQ(kernel_backend_name(), "csr");
   set_kernel_backend_for_testing("");
+  EXPECT_EQ(kernel_backend_name(), selected);
+  // Pinning a bitset backend re-enables the plane whatever the environment.
+  set_kernel_backend_for_testing("csr");
+  set_kernel_backend_for_testing(supported_kernel_backends().front());
   EXPECT_NE(kernel_dispatch(), nullptr);
 }
 
