@@ -11,10 +11,12 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <string>
 #include <string_view>
@@ -22,6 +24,7 @@
 
 #include "bench_json.h"
 #include "svm/kernel.h"
+#include "svm/kernel_scalar_body.h"
 #include "svm/one_class_svm.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
@@ -377,6 +380,112 @@ TransformSplitRow report_transform_split(svm::KernelType type) {
   return row;
 }
 
+/// Alternating-round timing shared by the two sections below: kRounds
+/// rounds of kPassesPerRound passes per side (odd, so the median is one
+/// round's ratio).
+constexpr std::size_t kRounds = 7;
+constexpr std::size_t kPassesPerRound = 30;
+
+/// Median of an odd-sized sample.
+double median(std::vector<double> values) {
+  std::sort(values.begin(), values.end());
+  return values[values.size() / 2];
+}
+
+// ------------------------------------------------- in-repo exp vs libm --
+
+struct ExpVsLibmRow {
+  std::string kernel;
+  double exact_tail_mevals = 0.0;
+  double libm_tail_mevals = 0.0;
+  double speedup = 0.0;                ///< median of round_speedups
+  std::vector<double> round_speedups;  ///< libm / exact time per round
+};
+
+/// The exact transform tail (kernel_transform: the SIMD argument pass plus
+/// the in-repo vector exp/tanh) against a per-element libm loop over the
+/// same dots and arguments, i.e. the exact tier with libm per element.
+/// kRounds alternating rounds; exits non-zero if the median
+/// per-round ratio falls below 2x on RBF on a SIMD backend (scalar hosts
+/// and the sigmoid row report but do not gate).  This is the gate that
+/// shows a vector exp pays.
+ExpVsLibmRow report_exp_vs_libm(svm::KernelType type) {
+  const auto& f = BinaryFixture::get();
+  const auto params = kernel_params(type);
+  const std::size_t rows = f.matrix.rows();
+  const util::CsrView view = f.matrix.view();
+  std::vector<double> dots(kQueries * rows);
+  for (std::size_t q = 0; q < kQueries; ++q) {
+    svm::dot_rows(f.matrix, f.query_vectors[q],
+                  std::span{dots}.subspan(q * rows, rows));
+  }
+  std::vector<double> scratch(rows);
+  const auto exact_round = [&] {
+    const util::Stopwatch watch;
+    for (std::size_t p = 0; p < kPassesPerRound; ++p) {
+      for (std::size_t q = 0; q < kQueries; ++q) {
+        std::memcpy(scratch.data(), dots.data() + q * rows,
+                    rows * sizeof(double));
+        svm::kernel_transform(params, view, f.query_sqnorms[q], scratch);
+        benchmark::DoNotOptimize(scratch.data());
+      }
+    }
+    return watch.elapsed_micros() * 1e-6;
+  };
+  const auto libm_round = [&] {
+    const util::Stopwatch watch;
+    for (std::size_t p = 0; p < kPassesPerRound; ++p) {
+      for (std::size_t q = 0; q < kQueries; ++q) {
+        const double* dot = dots.data() + q * rows;
+        if (type == svm::KernelType::kRbf) {
+          for (std::size_t j = 0; j < rows; ++j) {
+            scratch[j] = std::exp(svm::detail::rbf_exp_arg(
+                params.gamma, f.query_sqnorms[q], view.sq_norms[j], dot[j]));
+          }
+        } else {
+          for (std::size_t j = 0; j < rows; ++j) {
+            scratch[j] = std::tanh(
+                svm::detail::affine_arg(params.gamma, params.coef0, dot[j]));
+          }
+        }
+        benchmark::DoNotOptimize(scratch.data());
+      }
+    }
+    return watch.elapsed_micros() * 1e-6;
+  };
+  ExpVsLibmRow row;
+  row.kernel = svm::describe(params);
+  double exact_s = 0.0;
+  double libm_s = 0.0;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const double exact = exact_round();
+    const double libm = libm_round();
+    exact_s += exact;
+    libm_s += libm;
+    row.round_speedups.push_back(libm / exact);
+  }
+  const double evals =
+      static_cast<double>(kRounds * kPassesPerRound * kQueries * rows);
+  row.exact_tail_mevals = evals / exact_s * 1e-6;
+  row.libm_tail_mevals = evals / libm_s * 1e-6;
+  row.speedup = median(row.round_speedups);
+  std::printf("%-28s exact tail %8.1f Mevals/s   libm loop %8.1f Mevals/s   "
+              "median speedup %.2fx\n",
+              row.kernel.c_str(), row.exact_tail_mevals, row.libm_tail_mevals,
+              row.speedup);
+  if (type == svm::KernelType::kRbf &&
+      svm::transform_backend_name() != "scalar" && row.speedup < 2.0) {
+    std::fprintf(stderr,
+                 "FATAL: %s exact transform tail is %.2fx a per-element libm "
+                 "loop (median of %zu rounds) on backend '%.*s' (gate: >= 2x)\n",
+                 row.kernel.c_str(), row.speedup, kRounds,
+                 static_cast<int>(svm::transform_backend_name().size()),
+                 svm::transform_backend_name().data());
+    std::exit(1);
+  }
+  return row;
+}
+
 // --------------------------------------------------------- relaxed tier --
 
 /// ULP distance between two finite doubles (monotone integer mapping).
@@ -390,11 +499,10 @@ std::uint64_t ulp_distance(double a, double b) {
   return static_cast<std::uint64_t>(ka > kb ? ka - kb : kb - ka);
 }
 
-/// Relaxed-tier timing: kRounds alternating exact/relaxed rounds of
-/// kPassesPerRound kernel_block passes each (odd, so the median is one
-/// round's ratio).
-constexpr std::size_t kRounds = 7;
-constexpr std::size_t kPassesPerRound = 30;
+/// Relaxed RBF kernel_block throughput recorded while the exact tier still
+/// called libm per element (4-core Xeon VM, avx512): the figure the exact
+/// tier is reported against.
+constexpr double kCommittedRelaxedRbfBlockMevals = 166.0;
 
 struct RelaxedReportRow {
   std::string kernel;
@@ -410,11 +518,10 @@ struct RelaxedReportRow {
 /// asserted before any timing: per-value ULP error is measured against the
 /// exact tier, per-model decision deltas are bounded, and the paper's
 /// identification argmax (which of 25 user models claims each window) must
-/// not flip ONCE across all queries — only then is throughput reported.
-/// Throughput comes from kRounds alternating exact/relaxed rounds; exits
-/// non-zero if the median per-round ratio falls below 2x exact
-/// kernel_block throughput on a SIMD backend (scalar hosts report but do
-/// not gate).
+/// not flip ONCE across all queries — only then is throughput reported,
+/// from kRounds alternating exact/relaxed rounds.  Both tiers run the
+/// in-repo vector exp/tanh (fused or not), so the ratio is reported, not
+/// gated; report_exp_vs_libm holds the speed gate.
 RelaxedReportRow report_relaxed(svm::KernelType type) {
   const auto& f = BinaryFixture::get();
   const auto params = kernel_params(type);
@@ -488,9 +595,9 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
     std::exit(1);
   }
 
-  // Alternating exact/relaxed rounds, gated on the median per-round ratio:
-  // a host-speed swing then moves both tiers of a round together instead
-  // of deciding the ratio, as one long block per tier let it.
+  // Alternating exact/relaxed rounds, reported as the median per-round
+  // ratio: a host-speed swing then moves both tiers of a round together
+  // instead of deciding the ratio.
   const auto time_block = [&](svm::TransformMode mode, std::vector<double>& out) {
     svm::set_transform_mode(mode);
     const util::Stopwatch watch;
@@ -516,9 +623,7 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
       static_cast<double>(kRounds * kPassesPerRound * kQueries * rows);
   row.exact_block_mevals = evals / exact_s * 1e-6;
   row.relaxed_block_mevals = evals / relaxed_s * 1e-6;
-  std::vector<double> sorted = row.round_speedups;
-  std::sort(sorted.begin(), sorted.end());
-  row.speedup = sorted[kRounds / 2];
+  row.speedup = median(row.round_speedups);
   std::printf("%-28s exact %8.1f Mevals/s   relaxed %8.1f Mevals/s   "
               "median speedup %.2fx   max %llu ULP   max decision delta %.2e   "
               "argmax flips 0/%zu\n",
@@ -526,14 +631,10 @@ RelaxedReportRow report_relaxed(svm::KernelType type) {
               row.relaxed_block_mevals, row.speedup,
               static_cast<unsigned long long>(row.max_ulp),
               row.max_decision_delta, static_cast<std::size_t>(kQueries));
-  if (svm::transform_backend_name() != "scalar" && row.speedup < 2.0) {
-    std::fprintf(stderr,
-                 "FATAL: %s relaxed tier is %.2fx exact (median of %zu "
-                 "rounds) on backend '%.*s' (gate: >= 2x)\n",
-                 row.kernel.c_str(), row.speedup, kRounds,
-                 static_cast<int>(svm::transform_backend_name().size()),
-                 svm::transform_backend_name().data());
-    std::exit(1);
+  if (type == svm::KernelType::kRbf) {
+    std::printf("%-28s exact kernel_block %.1f Mevals/s vs committed relaxed "
+                "figure %.1f Mevals/s\n",
+                "", row.exact_block_mevals, kCommittedRelaxedRbfBlockMevals);
   }
   return row;
 }
@@ -591,7 +692,16 @@ int main(int argc, char** argv) {
     split_rows.push_back(report_transform_split(type));
   }
 
-  std::printf("\nRelaxed transform tier — vectorized exp/tanh vs libm exact, "
+  std::printf("\nIn-repo exp/tanh — exact transform tail vs a per-element "
+              "libm loop over the same arguments, backend '%.*s'\n",
+              static_cast<int>(svm::transform_backend_name().size()),
+              svm::transform_backend_name().data());
+  std::vector<ExpVsLibmRow> exp_rows;
+  for (const auto type : {svm::KernelType::kRbf, svm::KernelType::kSigmoid}) {
+    exp_rows.push_back(report_exp_vs_libm(type));
+  }
+
+  std::printf("\nRelaxed transform tier — fused vs exact exp/tanh stamps, "
               "zero identification argmax flips asserted before timing\n");
   std::vector<RelaxedReportRow> relaxed_rows;
   for (const auto type : {svm::KernelType::kRbf, svm::KernelType::kSigmoid}) {
@@ -640,6 +750,21 @@ int main(int argc, char** argv) {
       json.end_object();
     }
     json.end_array();
+    json.key("exp_vs_libm").begin_array();
+    for (const auto& row : exp_rows) {
+      json.begin_object();
+      json.key("kernel").value(row.kernel);
+      json.key("exact_tail_mevals_per_s").value(row.exact_tail_mevals);
+      json.key("libm_tail_mevals_per_s").value(row.libm_tail_mevals);
+      json.key("speedup").value(row.speedup);
+      json.key("round_speedups").begin_array();
+      for (const double ratio : row.round_speedups) json.value(ratio);
+      json.end_array();
+      json.end_object();
+    }
+    json.end_array();
+    json.key("committed_relaxed_rbf_block_mevals_per_s")
+        .value(kCommittedRelaxedRbfBlockMevals);
     json.key("relaxed_kernels").begin_array();
     for (const auto& row : relaxed_rows) {
       json.begin_object();

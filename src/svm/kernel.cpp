@@ -4,7 +4,6 @@
 #include <array>
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
@@ -376,7 +375,8 @@ void set_kernel_metrics(obs::Registry* registry) {
 
 // The per-element expressions live in svm/kernel_scalar_body.h — the ONE
 // scalar definition kernel_eval, kernel_self, and every transform backend
-// stamp from, so exact-tier bit-identity is by construction.
+// stamp from (exp/tanh included: svm/exp_body.inc, not libm), so
+// exact-tier bit-identity is by construction.
 double kernel_eval(const KernelParams& params, const util::SparseVector& x,
                    const util::SparseVector& y, double x_sqnorm,
                    double y_sqnorm) {
@@ -387,10 +387,11 @@ double kernel_eval(const KernelParams& params, const util::SparseVector& x,
       return detail::poly_element(params.gamma, params.coef0, params.degree,
                                   x.dot(y));
     case KernelType::kRbf:
-      return std::exp(
+      return detail::kernel_exp(
           detail::rbf_exp_arg(params.gamma, x_sqnorm, y_sqnorm, x.dot(y)));
     case KernelType::kSigmoid:
-      return std::tanh(detail::affine_arg(params.gamma, params.coef0, x.dot(y)));
+      return detail::kernel_tanh(
+          detail::affine_arg(params.gamma, params.coef0, x.dot(y)));
   }
   throw std::logic_error{"kernel_eval: invalid kernel type"};
 }
@@ -417,7 +418,8 @@ double kernel_self(const KernelParams& params, double sq_norm) {
       return detail::poly_element(params.gamma, params.coef0, params.degree,
                                   sq_norm);
     case KernelType::kSigmoid:
-      return std::tanh(detail::affine_arg(params.gamma, params.coef0, sq_norm));
+      return detail::kernel_tanh(
+          detail::affine_arg(params.gamma, params.coef0, sq_norm));
   }
   throw std::logic_error{"kernel_self: invalid kernel type"};
 }
@@ -429,16 +431,17 @@ namespace {
 /// a tile stays L1-resident between the two passes.
 constexpr std::size_t kTransformTile = 1024;
 
-/// The tiled transform core (DESIGN §14).  Everything around the libm call
-/// runs through the dispatched SIMD backend — the RBF squared-distance
-/// assembly with its clamp, the gamma*dot+coef0 pre-scale, lane-parallel
-/// powi — all bit-identical to kernel_eval's expressions by construction.
-/// Exact tier then applies std::exp/std::tanh per element; relaxed tier
-/// applies the backend's vectorized stamps instead.
+/// The tiled transform core (DESIGN §14), every pass on the dispatched
+/// SIMD backend — the RBF squared-distance assembly with its clamp, the
+/// gamma*dot+coef0 pre-scale, lane-parallel powi, and the in-repo exp/tanh
+/// stamps — all bit-identical to kernel_eval's expressions by construction
+/// in the exact tier.  The relaxed tier swaps in the fused exp/tanh stamps.
 void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
                      double x_sqnorm, std::span<double> out) {
   const std::size_t n = matrix.rows();
   const detail::TransformOps& ops = transform_dispatch();
+  const bool relaxed =
+      effective_transform_mode(params) == TransformMode::kRelaxed;
   switch (params.type) {
     case KernelType::kLinear:
       return;
@@ -448,33 +451,23 @@ void transform_tiles(const KernelParams& params, const util::CsrView& matrix,
                          n);
       return;
     case KernelType::kRbf: {
-      const bool relaxed =
-          effective_transform_mode(params) == TransformMode::kRelaxed;
+      const auto exp = relaxed ? ops.relaxed_exp_inplace : ops.exp_inplace;
       const double* sq_norms = matrix.sq_norms.data();
       for (std::size_t j = 0; j < n; j += kTransformTile) {
         const std::size_t len = std::min(kTransformTile, n - j);
         double* tile = out.data() + j;
         ops.rbf_exp_args(params.gamma, x_sqnorm, sq_norms + j, tile, len);
-        if (relaxed) {
-          ops.exp_inplace(tile, len);
-        } else {
-          for (std::size_t t = 0; t < len; ++t) tile[t] = std::exp(tile[t]);
-        }
+        exp(tile, len);
       }
       return;
     }
     case KernelType::kSigmoid: {
-      const bool relaxed =
-          effective_transform_mode(params) == TransformMode::kRelaxed;
+      const auto tanh = relaxed ? ops.relaxed_tanh_inplace : ops.tanh_inplace;
       for (std::size_t j = 0; j < n; j += kTransformTile) {
         const std::size_t len = std::min(kTransformTile, n - j);
         double* tile = out.data() + j;
         ops.affine_args(params.gamma, params.coef0, tile, len);
-        if (relaxed) {
-          ops.tanh_inplace(tile, len);
-        } else {
-          for (std::size_t t = 0; t < len; ++t) tile[t] = std::tanh(tile[t]);
-        }
+        tanh(tile, len);
       }
       return;
     }

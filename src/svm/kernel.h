@@ -33,12 +33,14 @@ class EncodedQueryCache;
 
 /// Precision tier of the batched kernel transform (DESIGN §14).
 ///
-///   kExact   — std::exp/std::tanh per element in the oracle's expression
-///              order; every output bit-identical to kernel_eval.  This is
-///              the process default.
-///   kRelaxed — in-repo vectorized exp/tanh (svm/relaxed_math.h) with a
-///              documented max-ULP bound (exp <= 4, tanh <= 8).  Explicit
-///              opt-in only: WTP_TRANSFORM_MODE=relaxed, EngineConfig, or
+///   kExact   — the in-repo vectorized exp/tanh (svm/exp_body.inc: exp
+///              <= 1 ULP, tanh <= 4 ULP of glibc) in the oracle's
+///              expression order; every output bit-identical to kernel_eval
+///              on every backend, and fixed by this repository's source
+///              rather than by the host's libm.  The process default.
+///   kRelaxed — the same stamps with fused multiply-adds in the polynomials,
+///              bounded by exp <= 4 ULP, tanh <= 8 ULP of libm.  Explicit
+///              opt-in only: WTP_TRANSFORM_MODE=relaxed or
 ///              KernelParams::transform.  Scoring-tier only — training
 ///              (the SMO solver) always pins kExact so models are
 ///              reproducible regardless of mode.
@@ -155,12 +157,13 @@ void set_kernel_backend_for_testing(std::string_view name);
 // kernel_transform (and therefore every kernel_row/kernel_block tail) runs
 // in cache-sized tiles through a SIMD backend selected alongside the bitset
 // backend (same WTP_KERNEL_BACKEND override, same fastest-supported
-// default).  The exact tier vectorizes everything around the libm call —
-// RBF squared-distance assembly with its clamp, the gamma*dot+coef0
-// pre-scale, lane-parallel powi — while exp/tanh stay libm per element, so
-// outputs remain bit-identical to kernel_eval on every backend.  The
-// relaxed tier swaps in the in-repo vectorized exp/tanh (bounded-ULP, see
-// svm/relaxed_math.h) and must be explicitly opted into.
+// default).  The exact tier is vectorized end to end — RBF squared-distance
+// assembly with its clamp, the gamma*dot+coef0 pre-scale, lane-parallel
+// powi, and the in-repo exp/tanh (exp <= 1 ULP, tanh <= 4 ULP of glibc) —
+// and every output is bit-identical to kernel_eval, which calls the same
+// scalar stamps; decisions are pinned by this repository, not by glibc.
+// The relaxed tier runs the fused-polynomial stamps and must be explicitly
+// opted into.
 // ----------------------------------------------------------------------
 
 /// The process-wide transform mode: kExact unless WTP_TRANSFORM_MODE=relaxed

@@ -49,12 +49,12 @@ OverlapSelectFn popcnt_overlap_select, avx2_overlap_select,
 /// One kernel-transform backend: in-place per-element ops over a tile of
 /// raw dot products (DESIGN §14).
 ///
-/// The first three entries are the EXACT tier: pure mul/add/max arithmetic
-/// stamped from svm/kernel_scalar_body.h with fp-contract pinned off, so
-/// every backend is bit-identical to the scalar expressions in kernel_eval.
-/// The last two are the RELAXED tier: vectorized exp/tanh stamped from
-/// svm/relaxed_math.h, only ever invoked when the effective TransformMode
-/// is kRelaxed (the exact tier calls libm per element instead).
+/// The first five entries are the EXACT tier: IEEE arithmetic stamped from
+/// svm/kernel_scalar_body.h, svm/powi_body.inc and svm/exp_body.inc with
+/// fp-contract pinned off, so every backend is bit-identical to the scalar
+/// expressions in kernel_eval.  The last two are the RELAXED tier: the same
+/// exp/tanh stamps with fused Horner steps, only ever invoked when the
+/// effective TransformMode is kRelaxed.
 struct TransformOps {
   const char* name;
   /// inout[j] = -gamma * max(x_sqnorm + sq_norms[j] - 2*inout[j], 0) —
@@ -65,14 +65,16 @@ struct TransformOps {
   void (*affine_args)(double gamma, double coef0, double* inout,
                       std::size_t n);
   /// inout[j] = powi(gamma * inout[j] + coef0, degree) — the full polynomial
-  /// transform, lane-parallel repeated squaring (no libm involved).
+  /// transform, lane-parallel repeated squaring.
   void (*poly_transform)(double gamma, double coef0, int degree, double* inout,
                          std::size_t n);
-  /// Relaxed tier: inout[j] = relaxed_exp(inout[j]) (see relaxed_math.h for
-  /// the ULP contract).
+  /// inout[j] = kernel_exp(inout[j]), resp. kernel_tanh(inout[j]), bit for
+  /// bit (svm/kernel_scalar_body.h).
   void (*exp_inplace)(double* inout, std::size_t n);
-  /// Relaxed tier: inout[j] = relaxed_tanh(inout[j]).
   void (*tanh_inplace)(double* inout, std::size_t n);
+  /// Relaxed tier: the fused stamps (exp <= 4 ULP, tanh <= 8 ULP of libm).
+  void (*relaxed_exp_inplace)(double* inout, std::size_t n);
+  void (*relaxed_tanh_inplace)(double* inout, std::size_t n);
 };
 
 struct TransformBackend {

@@ -281,10 +281,11 @@ std::size_t append_blob_impl(std::vector<std::byte>& out, std::uint32_t model_ty
   while (out.size() % 8 != 0) out.push_back(std::byte{0});
   const std::size_t start = out.size();
   const auto view = svs.view();
-  // v2 when the SV block carries a bitset companion (skipped entirely when
-  // the plane is disabled via WTP_KERNEL_BACKEND=csr).
-  const util::BitsetStorage* bitset =
-      kernel_dispatch() != nullptr ? svs.bitset() : nullptr;
+  // v2 whenever the SV block carries a bitset companion, whatever backend
+  // the writing process runs: the bytes depend on the model alone, and a
+  // store written under WTP_KERNEL_BACKEND=csr still scores on the bitset
+  // plane where one is enabled.
+  const util::BitsetStorage* bitset = svs.bitset();
   const util::BitsetView bits =
       bitset != nullptr ? bitset->view() : util::BitsetView{};
   const BlobLayout layout =

@@ -7,32 +7,32 @@
 // picks one at startup via __builtin_cpu_supports (same machinery and the
 // same WTP_KERNEL_BACKEND override as the bitset dot backends).
 //
-// Two tiers per backend:
+// Every function here is compiled with fp-contract pinned OFF: GCC's vector
+// mul/add intrinsics are plain operators and would otherwise fuse into
+// vfmadd, single-rounding products the baseline-ISA scalar oracle rounds
+// twice.  The only fused steps are the explicit FMAs of the relaxed tier.
 //
-//   EXACT (rbf_exp_args / affine_args / poly_transform): pure mul/add/max
-//   arithmetic mirroring svm/kernel_scalar_body.h expression for
-//   expression, with fp-contract pinned OFF — GCC's vector mul/add
-//   intrinsics are plain operators and would otherwise fuse into vfmadd,
-//   single-rounding products the baseline-ISA scalar oracle rounds twice.
-//   VMAXPD(u, 0) replays the scalar clamp `u > 0.0 ? u : 0.0` exactly:
-//   it returns the second operand when the first is NaN (NaN → 0, like the
-//   ternary) and for ±0.0 vs +0.0 returns the second operand (+0.0), which
-//   is also what the ternary produces.  powi is stamped lane-parallel from
-//   svm/powi_body.inc — the exponent is uniform across lanes, so every
-//   lane runs the scalar stamp's exact multiply sequence.  Every exact-tier
-//   output is bit-identical to the scalar backend by construction; the
-//   dispatch suite enforces it.
+//   EXACT (rbf_exp_args / affine_args / poly_transform / exp / tanh): pure
+//   IEEE arithmetic mirroring svm/kernel_scalar_body.h expression for
+//   expression.  VMAXPD(u, 0) replays the scalar clamp `u > 0.0 ? u : 0.0`
+//   exactly: it returns the second operand when the first is NaN (NaN → 0,
+//   like the ternary) and for ±0.0 vs +0.0 returns the second operand
+//   (+0.0), which is also what the ternary produces.  powi is stamped
+//   lane-parallel from svm/powi_body.inc and exp/tanh from
+//   svm/exp_body.inc — the in-repo transcendentals (exp <= 1 ULP, tanh
+//   <= 4 ULP of glibc), so the exact tier is vectorized end to end and every
+//   output is bit-identical to kernel_eval on every backend by
+//   construction; the dispatch and transform suites enforce it.
 //
-//   RELAXED (exp_inplace / tanh_inplace): the vectorized exp/tanh stamps of
-//   svm/relaxed_math.h (Cody–Waite + Taylor), WITH FMA — these only run
-//   under TransformMode::kRelaxed, whose contract is the documented ULP
-//   bound, not bit-identity.  The AVX-512 stamp scales by 2^k with
-//   vscalefpd (exact, handles subnormal outputs in one rounding); AVX2 and
-//   scalar build 2^k in two exponent-bit steps.
+//   RELAXED (relaxed_exp / relaxed_tanh): the same exp_body.inc stamps with
+//   fused Horner steps, only run under TransformMode::kRelaxed, whose
+//   contract is a documented ULP bound (exp <= 4, tanh <= 8), not
+//   bit-identity.  The scalar backend has no FMA, so its relaxed entries
+//   are the exact ones.
 //
-//   scalar — kernel_scalar_body.h / relaxed_math.h loops (the reference).
-//   avx2   — 4 lanes; exact tier needs avx2 only, relaxed tier needs FMA
-//            too, so supported() checks both.
+//   scalar — kernel_scalar_body.h loops (the reference).
+//   avx2   — 4 lanes; needs avx2 and FMA (the relaxed stamps), so
+//            supported() checks both.
 //   avx512 — 8 lanes (AVX-512F only; no VPOPCNTDQ requirement here, though
 //            every AVX-512 host we target has both).
 #include "svm/kernel_backends.h"
@@ -41,7 +41,6 @@
 #include <cstddef>
 
 #include "svm/kernel_scalar_body.h"
-#include "svm/relaxed_math.h"
 
 #if defined(__x86_64__) || defined(__i386__)
 #include <immintrin.h>
@@ -81,30 +80,29 @@ void sc_poly_transform(double gamma, double coef0, int degree, double* inout,
 }
 
 void sc_exp_inplace(double* inout, size_t n) {
-  for (size_t j = 0; j < n; ++j) inout[j] = relaxed_exp(inout[j]);
+  for (size_t j = 0; j < n; ++j) inout[j] = kernel_exp(inout[j]);
 }
 
 void sc_tanh_inplace(double* inout, size_t n) {
-  for (size_t j = 0; j < n; ++j) inout[j] = relaxed_tanh(inout[j]);
+  for (size_t j = 0; j < n; ++j) inout[j] = kernel_tanh(inout[j]);
 }
 
 const TransformOps kScalarTransformOps{
-    "scalar",         &sc_rbf_exp_args, &sc_affine_args,
-    &sc_poly_transform, &sc_exp_inplace, &sc_tanh_inplace};
+    "scalar",       &sc_rbf_exp_args, &sc_affine_args, &sc_poly_transform,
+    &sc_exp_inplace, &sc_tanh_inplace, &sc_exp_inplace, &sc_tanh_inplace};
 
 #if WTP_X86
 
-// ------------------------------------------------------------ avx2 exact --
+// ------------------------------------------------------------------ avx2 --
 
-// Exact tier: fp-contract must stay off (see file comment).
-#define WTP_TX2_EXACT \
-  __attribute__((target("avx2"), optimize("-ffp-contract=off")))
+#define WTP_TX2 \
+  __attribute__((target("avx2,fma"), optimize("-ffp-contract=off")))
 
 #define WTP_POWI_FN powi4
 #define WTP_POWI_VEC __m256d
 #define WTP_POWI_ONE _mm256_set1_pd(1.0)
 #define WTP_POWI_MUL(a, b) _mm256_mul_pd((a), (b))
-#define WTP_POWI_ATTR WTP_TX2_EXACT
+#define WTP_POWI_ATTR WTP_TX2
 #include "svm/powi_body.inc"
 #undef WTP_POWI_FN
 #undef WTP_POWI_VEC
@@ -112,9 +110,42 @@ const TransformOps kScalarTransformOps{
 #undef WTP_POWI_MUL
 #undef WTP_POWI_ATTR
 
-WTP_TX2_EXACT void avx2_rbf_exp_args(double gamma, double x_sqnorm,
-                                     const double* sq_norms, double* inout,
-                                     size_t n) {
+/// exp_scale on 4 lanes: k sits in the low 32-bit half of each lane, and
+/// the 64-bit shift by 52 keeps only that half's low 12 bits.
+WTP_TX2 inline __m256d exp_scale4(__m256d p, __m256d shifted) {
+  const __m256i k = _mm256_castpd_si256(shifted);
+  const __m256i k1 = _mm256_srai_epi32(k, 1);
+  const __m256i bias = _mm256_set1_epi32(1023);
+  const __m256d s1 = _mm256_castsi256_pd(
+      _mm256_slli_epi64(_mm256_add_epi32(k1, bias), 52));
+  const __m256d s2 = _mm256_castsi256_pd(_mm256_slli_epi64(
+      _mm256_add_epi32(_mm256_sub_epi32(k, k1), bias), 52));
+  return _mm256_mul_pd(_mm256_mul_pd(p, s1), s2);
+}
+
+#define WTP_EXP_FN exp4
+#define WTP_TANH_FN tanh4
+#define WTP_EXP_VEC __m256d
+#define WTP_EXP_ATTR WTP_TX2
+#define WTP_EXP_SET1(c) _mm256_set1_pd(c)
+#define WTP_EXP_ADD(a, b) _mm256_add_pd((a), (b))
+#define WTP_EXP_SUB(a, b) _mm256_sub_pd((a), (b))
+#define WTP_EXP_MUL(a, b) _mm256_mul_pd((a), (b))
+#define WTP_EXP_DIV(a, b) _mm256_div_pd((a), (b))
+#define WTP_EXP_FMA(a, b, c) _mm256_fmadd_pd((a), (b), (c))
+#define WTP_EXP_SCALE(p, k, shifted) exp_scale4((p), (shifted))
+#define WTP_EXP_MAX(a, b) _mm256_max_pd((a), (b))
+#define WTP_EXP_MIN(a, b) _mm256_min_pd((a), (b))
+#define WTP_EXP_LT_SELECT(a, b, t, e) \
+  _mm256_blendv_pd((e), (t), _mm256_cmp_pd((a), (b), _CMP_LT_OQ))
+#define WTP_EXP_ABS(x) _mm256_andnot_pd(_mm256_set1_pd(-0.0), (x))
+#define WTP_EXP_OR_SIGN(v, x) \
+  _mm256_or_pd((v), _mm256_and_pd((x), _mm256_set1_pd(-0.0)))
+#include "svm/exp_body.inc"
+
+WTP_TX2 void avx2_rbf_exp_args(double gamma, double x_sqnorm,
+                               const double* sq_norms, double* inout,
+                               size_t n) {
   const __m256d vng = _mm256_set1_pd(-gamma);
   const __m256d vx = _mm256_set1_pd(x_sqnorm);
   const __m256d vtwo = _mm256_set1_pd(2.0);
@@ -135,8 +166,8 @@ WTP_TX2_EXACT void avx2_rbf_exp_args(double gamma, double x_sqnorm,
   }
 }
 
-WTP_TX2_EXACT void avx2_affine_args(double gamma, double coef0, double* inout,
-                                    size_t n) {
+WTP_TX2 void avx2_affine_args(double gamma, double coef0, double* inout,
+                              size_t n) {
   const __m256d vg = _mm256_set1_pd(gamma);
   const __m256d vc = _mm256_set1_pd(coef0);
   size_t j = 0;
@@ -147,8 +178,8 @@ WTP_TX2_EXACT void avx2_affine_args(double gamma, double coef0, double* inout,
   for (; j < n; ++j) inout[j] = affine_arg(gamma, coef0, inout[j]);
 }
 
-WTP_TX2_EXACT void avx2_poly_transform(double gamma, double coef0, int degree,
-                                       double* inout, size_t n) {
+WTP_TX2 void avx2_poly_transform(double gamma, double coef0, int degree,
+                                 double* inout, size_t n) {
   const __m256d vg = _mm256_set1_pd(gamma);
   const __m256d vc = _mm256_set1_pd(coef0);
   size_t j = 0;
@@ -160,107 +191,44 @@ WTP_TX2_EXACT void avx2_poly_transform(double gamma, double coef0, int degree,
   for (; j < n; ++j) inout[j] = poly_element(gamma, coef0, degree, inout[j]);
 }
 
-// ---------------------------------------------------------- avx2 relaxed --
-
-// Relaxed tier: FMA on purpose — the contract is the ULP bound, and fused
-// Horner steps both tighten and speed up the polynomial.
-#define WTP_TX2_RELAXED __attribute__((target("avx2,fma")))
-
-/// Vector stamp of relaxed_exp (relaxed_math.h).  Specials: the k used for
-/// scaling is clamped to the representable exponent range, but r inherits
-/// NaN from x, and the final blends force x > overflow → +inf and
-/// x < underflow → 0 (which also covers ±inf inputs).
-WTP_TX2_RELAXED inline __m256d avx2_exp4(__m256d x) {
-  const __m256d vk = _mm256_round_pd(
-      _mm256_mul_pd(x, _mm256_set1_pd(kRelaxedLog2e)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  // Clamp so the exponent-bit build below stays in range even for inputs
-  // past the overflow/underflow cutoffs (those lanes are overwritten by the
-  // blends at the end).
-  const __m256d k = _mm256_max_pd(_mm256_min_pd(vk, _mm256_set1_pd(1025.0)),
-                                  _mm256_set1_pd(-1075.0));
-  __m256d r = _mm256_fnmadd_pd(k, _mm256_set1_pd(kRelaxedLn2Hi), x);
-  r = _mm256_fnmadd_pd(k, _mm256_set1_pd(kRelaxedLn2Lo), r);
-  __m256d p = _mm256_set1_pd(kRelaxedExpC[13]);
-  for (int i = 12; i >= 0; --i) {
-    p = _mm256_fmadd_pd(p, r, _mm256_set1_pd(kRelaxedExpC[i]));
-  }
-  // 2^k in two exponent-bit steps (relaxed_exp2i): k1 = k>>1 rounds toward
-  // -inf, so both halves stay in [-538, 513] — normal powers of two.
-  const __m128i ik = _mm256_cvtpd_epi32(k);
-  const __m128i ik1 = _mm_srai_epi32(ik, 1);
-  const __m128i ik2 = _mm_sub_epi32(ik, ik1);
-  const __m128i bias = _mm_set1_epi32(1023);
-  const __m256d s1 = _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_cvtepi32_epi64(_mm_add_epi32(ik1, bias)), 52));
-  const __m256d s2 = _mm256_castsi256_pd(
-      _mm256_slli_epi64(_mm256_cvtepi32_epi64(_mm_add_epi32(ik2, bias)), 52));
-  __m256d result = _mm256_mul_pd(_mm256_mul_pd(p, s1), s2);
-  result = _mm256_blendv_pd(
-      result, _mm256_set1_pd(std::numeric_limits<double>::infinity()),
-      _mm256_cmp_pd(x, _mm256_set1_pd(kRelaxedExpHi), _CMP_GT_OQ));
-  result = _mm256_blendv_pd(
-      result, _mm256_setzero_pd(),
-      _mm256_cmp_pd(x, _mm256_set1_pd(kRelaxedExpLo), _CMP_LT_OQ));
-  return result;  // NaN x: both compares are false, result stays NaN
-}
-
-/// Vector stamp of relaxed_tanh: both branches are computed for all lanes
-/// and blended on |x| < 0.35 (no divergent control flow).  exp(-2|x|)
-/// underflows to 0 for large |x|, so ±1 saturation is free; sign is
-/// restored by OR-ing the sign bit back (both branch results are >= 0).
-WTP_TX2_RELAXED inline __m256d avx2_tanh4(__m256d x) {
-  const __m256d signbit = _mm256_set1_pd(-0.0);
-  const __m256d sign = _mm256_and_pd(x, signbit);
-  const __m256d a = _mm256_andnot_pd(signbit, x);
-  const __m256d u = _mm256_mul_pd(_mm256_set1_pd(2.0), a);
-  __m256d q = _mm256_set1_pd(kRelaxedExpm1C[15]);
-  for (int i = 14; i >= 0; --i) {
-    q = _mm256_fmadd_pd(q, u, _mm256_set1_pd(kRelaxedExpm1C[i]));
-  }
-  const __m256d em1 = _mm256_mul_pd(u, q);
-  const __m256d small =
-      _mm256_div_pd(em1, _mm256_add_pd(em1, _mm256_set1_pd(2.0)));
-  const __m256d s = avx2_exp4(_mm256_mul_pd(_mm256_set1_pd(-2.0), a));
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d big = _mm256_sub_pd(
-      one, _mm256_div_pd(_mm256_mul_pd(_mm256_set1_pd(2.0), s),
-                         _mm256_add_pd(one, s)));
-  // NaN a: compare is false → big branch, which is NaN through s.
-  const __m256d result = _mm256_blendv_pd(
-      big, small, _mm256_cmp_pd(a, _mm256_set1_pd(kRelaxedTanhSmall),
-                                _CMP_LT_OQ));
-  return _mm256_or_pd(result, sign);
-}
-
-WTP_TX2_RELAXED void avx2_exp_inplace(double* inout, size_t n) {
+/// The < 4-element tail runs the scalar stamp: the same operation sequence,
+/// so exact-tier tails stay bit-identical (relaxed tails are unfused).
+template <bool kFused>
+WTP_TX2 void avx2_exp_inplace(double* inout, size_t n) {
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(inout + j, avx2_exp4(_mm256_loadu_pd(inout + j)));
+    _mm256_storeu_pd(inout + j, exp4<kFused>(_mm256_loadu_pd(inout + j)));
   }
-  for (; j < n; ++j) inout[j] = relaxed_exp(inout[j]);
+  for (; j < n; ++j) inout[j] = kernel_exp(inout[j]);
 }
 
-WTP_TX2_RELAXED void avx2_tanh_inplace(double* inout, size_t n) {
+template <bool kFused>
+WTP_TX2 void avx2_tanh_inplace(double* inout, size_t n) {
   size_t j = 0;
   for (; j + 4 <= n; j += 4) {
-    _mm256_storeu_pd(inout + j, avx2_tanh4(_mm256_loadu_pd(inout + j)));
+    _mm256_storeu_pd(inout + j, tanh4<kFused>(_mm256_loadu_pd(inout + j)));
   }
-  for (; j < n; ++j) inout[j] = relaxed_tanh(inout[j]);
+  for (; j < n; ++j) inout[j] = kernel_tanh(inout[j]);
 }
 
 bool avx2_transform_supported() {
-  // The relaxed tier's stamps use FMA; require it up front rather than
-  // splitting the backend in two (every AVX2 CPU since Haswell has FMA).
+  // The relaxed stamps use FMA; require it up front rather than splitting
+  // the backend in two (every AVX2 CPU since Haswell has FMA).
   return __builtin_cpu_supports("avx2") != 0 &&
          __builtin_cpu_supports("fma") != 0;
 }
 
 const TransformOps kAvx2TransformOps{
-    "avx2",             &avx2_rbf_exp_args, &avx2_affine_args,
-    &avx2_poly_transform, &avx2_exp_inplace, &avx2_tanh_inplace};
+    "avx2",
+    &avx2_rbf_exp_args,
+    &avx2_affine_args,
+    &avx2_poly_transform,
+    &avx2_exp_inplace<false>,
+    &avx2_tanh_inplace<false>,
+    &avx2_exp_inplace<true>,
+    &avx2_tanh_inplace<true>};
 
-// ---------------------------------------------------------- avx512 exact --
+// ---------------------------------------------------------------- avx512 --
 
 // GCC 12's maskz loads can trip -Wmaybe-uninitialized the same way the dot
 // backends do; silence just this section.
@@ -268,15 +236,15 @@ const TransformOps kAvx2TransformOps{
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #pragma GCC diagnostic ignored "-Wuninitialized"
 
-// avx512f implies FMA, so the exact tier pins fp-contract=off here too.
-#define WTP_TX512_EXACT \
+// avx512f implies FMA, so fp-contract is pinned off here too.
+#define WTP_TX512 \
   __attribute__((target("avx512f"), optimize("-ffp-contract=off")))
 
 #define WTP_POWI_FN powi8
 #define WTP_POWI_VEC __m512d
 #define WTP_POWI_ONE _mm512_set1_pd(1.0)
 #define WTP_POWI_MUL(a, b) _mm512_mul_pd((a), (b))
-#define WTP_POWI_ATTR WTP_TX512_EXACT
+#define WTP_POWI_ATTR WTP_TX512
 #include "svm/powi_body.inc"
 #undef WTP_POWI_FN
 #undef WTP_POWI_VEC
@@ -284,9 +252,39 @@ const TransformOps kAvx2TransformOps{
 #undef WTP_POWI_MUL
 #undef WTP_POWI_ATTR
 
-WTP_TX512_EXACT void avx512_rbf_exp_args(double gamma, double x_sqnorm,
-                                         const double* sq_norms, double* inout,
-                                         size_t n) {
+/// Sign-bit splitting in the integer domain: vandpd/vorpd are AVX-512DQ,
+/// which the avx512f-only target here does not include.
+WTP_TX512 inline __m512i sign_mask8() {
+  return _mm512_set1_epi64(static_cast<long long>(0x8000000000000000ULL));
+}
+
+#define WTP_EXP_FN exp8
+#define WTP_TANH_FN tanh8
+#define WTP_EXP_VEC __m512d
+#define WTP_EXP_ATTR WTP_TX512
+#define WTP_EXP_SET1(c) _mm512_set1_pd(c)
+#define WTP_EXP_ADD(a, b) _mm512_add_pd((a), (b))
+#define WTP_EXP_SUB(a, b) _mm512_sub_pd((a), (b))
+#define WTP_EXP_MUL(a, b) _mm512_mul_pd((a), (b))
+#define WTP_EXP_DIV(a, b) _mm512_div_pd((a), (b))
+#define WTP_EXP_FMA(a, b, c) _mm512_fmadd_pd((a), (b), (c))
+#define WTP_EXP_SCALE(p, k, shifted) _mm512_scalef_pd((p), (k))
+#define WTP_EXP_MAX(a, b) _mm512_max_pd((a), (b))
+#define WTP_EXP_MIN(a, b) _mm512_min_pd((a), (b))
+#define WTP_EXP_LT_SELECT(a, b, t, e) \
+  _mm512_mask_mov_pd((e), _mm512_cmp_pd_mask((a), (b), _CMP_LT_OQ), (t))
+#define WTP_EXP_ABS(x)  \
+  _mm512_castsi512_pd(  \
+      _mm512_andnot_si512(sign_mask8(), _mm512_castpd_si512(x)))
+#define WTP_EXP_OR_SIGN(v, x)                            \
+  _mm512_castsi512_pd(_mm512_or_si512(                   \
+      _mm512_castpd_si512(v),                            \
+      _mm512_and_si512(_mm512_castpd_si512(x), sign_mask8())))
+#include "svm/exp_body.inc"
+
+WTP_TX512 void avx512_rbf_exp_args(double gamma, double x_sqnorm,
+                                   const double* sq_norms, double* inout,
+                                   size_t n) {
   const __m512d vng = _mm512_set1_pd(-gamma);
   const __m512d vx = _mm512_set1_pd(x_sqnorm);
   const __m512d vtwo = _mm512_set1_pd(2.0);
@@ -311,8 +309,8 @@ WTP_TX512_EXACT void avx512_rbf_exp_args(double gamma, double x_sqnorm,
   }
 }
 
-WTP_TX512_EXACT void avx512_affine_args(double gamma, double coef0,
-                                        double* inout, size_t n) {
+WTP_TX512 void avx512_affine_args(double gamma, double coef0, double* inout,
+                                  size_t n) {
   const __m512d vg = _mm512_set1_pd(gamma);
   const __m512d vc = _mm512_set1_pd(coef0);
   size_t j = 0;
@@ -328,9 +326,8 @@ WTP_TX512_EXACT void avx512_affine_args(double gamma, double coef0,
   }
 }
 
-WTP_TX512_EXACT void avx512_poly_transform(double gamma, double coef0,
-                                           int degree, double* inout,
-                                           size_t n) {
+WTP_TX512 void avx512_poly_transform(double gamma, double coef0, int degree,
+                                     double* inout, size_t n) {
   const __m512d vg = _mm512_set1_pd(gamma);
   const __m512d vc = _mm512_set1_pd(coef0);
   size_t j = 0;
@@ -347,85 +344,32 @@ WTP_TX512_EXACT void avx512_poly_transform(double gamma, double coef0,
   }
 }
 
-// -------------------------------------------------------- avx512 relaxed --
-
-#define WTP_TX512_RELAXED __attribute__((target("avx512f")))
-
-/// Vector stamp of relaxed_exp on 8 lanes.  vscalefpd replaces the two-step
-/// exponent build: it computes p * 2^k exactly in one rounding (subnormal
-/// outputs included) and saturates for huge |k|, so no clamp on k is needed
-/// — the overflow/underflow masks still force the libm-special results.
-WTP_TX512_RELAXED inline __m512d avx512_exp8(__m512d x) {
-  const __m512d k = _mm512_roundscale_pd(
-      _mm512_mul_pd(x, _mm512_set1_pd(kRelaxedLog2e)),
-      _MM_FROUND_TO_NEAREST_INT | _MM_FROUND_NO_EXC);
-  __m512d r = _mm512_fnmadd_pd(k, _mm512_set1_pd(kRelaxedLn2Hi), x);
-  r = _mm512_fnmadd_pd(k, _mm512_set1_pd(kRelaxedLn2Lo), r);
-  __m512d p = _mm512_set1_pd(kRelaxedExpC[13]);
-  for (int i = 12; i >= 0; --i) {
-    p = _mm512_fmadd_pd(p, r, _mm512_set1_pd(kRelaxedExpC[i]));
-  }
-  __m512d result = _mm512_scalef_pd(p, k);
-  result = _mm512_mask_mov_pd(
-      result, _mm512_cmp_pd_mask(x, _mm512_set1_pd(kRelaxedExpHi), _CMP_GT_OQ),
-      _mm512_set1_pd(std::numeric_limits<double>::infinity()));
-  result = _mm512_mask_mov_pd(
-      result, _mm512_cmp_pd_mask(x, _mm512_set1_pd(kRelaxedExpLo), _CMP_LT_OQ),
-      _mm512_setzero_pd());
-  return result;  // NaN x: both masks are off, result stays NaN via r
-}
-
-WTP_TX512_RELAXED inline __m512d avx512_tanh8(__m512d x) {
-  // Sign-bit splitting in the integer domain: vandpd/vorpd are AVX-512DQ,
-  // which the avx512f-only target here does not include.
-  const __m512i sign_mask = _mm512_set1_epi64(
-      static_cast<long long>(0x8000000000000000ULL));
-  const __m512d a = _mm512_castsi512_pd(
-      _mm512_andnot_si512(sign_mask, _mm512_castpd_si512(x)));
-  const __m512d u = _mm512_mul_pd(_mm512_set1_pd(2.0), a);
-  __m512d q = _mm512_set1_pd(kRelaxedExpm1C[15]);
-  for (int i = 14; i >= 0; --i) {
-    q = _mm512_fmadd_pd(q, u, _mm512_set1_pd(kRelaxedExpm1C[i]));
-  }
-  const __m512d em1 = _mm512_mul_pd(u, q);
-  const __m512d small =
-      _mm512_div_pd(em1, _mm512_add_pd(em1, _mm512_set1_pd(2.0)));
-  const __m512d s = avx512_exp8(_mm512_mul_pd(_mm512_set1_pd(-2.0), a));
-  const __m512d one = _mm512_set1_pd(1.0);
-  const __m512d big = _mm512_sub_pd(
-      one, _mm512_div_pd(_mm512_mul_pd(_mm512_set1_pd(2.0), s),
-                         _mm512_add_pd(one, s)));
-  const __mmask8 is_small =
-      _mm512_cmp_pd_mask(a, _mm512_set1_pd(kRelaxedTanhSmall), _CMP_LT_OQ);
-  const __m512d result = _mm512_mask_mov_pd(big, is_small, small);
-  const __m512i sign = _mm512_and_si512(_mm512_castpd_si512(x), sign_mask);
-  return _mm512_castsi512_pd(
-      _mm512_or_si512(_mm512_castpd_si512(result), sign));
-}
-
-WTP_TX512_RELAXED void avx512_exp_inplace(double* inout, size_t n) {
+/// Masked tails: dead lanes load 0.0 (exp(0) = 1, tanh(0) = 0, no traps)
+/// and are masked off on the store; live lanes run the full-vector stamp.
+template <bool kFused>
+WTP_TX512 void avx512_exp_inplace(double* inout, size_t n) {
   size_t j = 0;
   for (; j + 8 <= n; j += 8) {
-    _mm512_storeu_pd(inout + j, avx512_exp8(_mm512_loadu_pd(inout + j)));
-  }
-  if (j < n) {
-    // Masked tail: dead lanes load 0.0, compute exp(0) = 1, and are masked
-    // off on the store — same relaxed results as a full vector would give.
-    const __mmask8 tail = static_cast<__mmask8>((1U << (n - j)) - 1);
-    _mm512_mask_storeu_pd(inout + j, tail,
-                          avx512_exp8(_mm512_maskz_loadu_pd(tail, inout + j)));
-  }
-}
-
-WTP_TX512_RELAXED void avx512_tanh_inplace(double* inout, size_t n) {
-  size_t j = 0;
-  for (; j + 8 <= n; j += 8) {
-    _mm512_storeu_pd(inout + j, avx512_tanh8(_mm512_loadu_pd(inout + j)));
+    _mm512_storeu_pd(inout + j, exp8<kFused>(_mm512_loadu_pd(inout + j)));
   }
   if (j < n) {
     const __mmask8 tail = static_cast<__mmask8>((1U << (n - j)) - 1);
-    _mm512_mask_storeu_pd(inout + j, tail,
-                          avx512_tanh8(_mm512_maskz_loadu_pd(tail, inout + j)));
+    _mm512_mask_storeu_pd(
+        inout + j, tail, exp8<kFused>(_mm512_maskz_loadu_pd(tail, inout + j)));
+  }
+}
+
+template <bool kFused>
+WTP_TX512 void avx512_tanh_inplace(double* inout, size_t n) {
+  size_t j = 0;
+  for (; j + 8 <= n; j += 8) {
+    _mm512_storeu_pd(inout + j, tanh8<kFused>(_mm512_loadu_pd(inout + j)));
+  }
+  if (j < n) {
+    const __mmask8 tail = static_cast<__mmask8>((1U << (n - j)) - 1);
+    _mm512_mask_storeu_pd(
+        inout + j, tail,
+        tanh8<kFused>(_mm512_maskz_loadu_pd(tail, inout + j)));
   }
 }
 
@@ -436,8 +380,14 @@ bool avx512_transform_supported() {
 }
 
 const TransformOps kAvx512TransformOps{
-    "avx512",             &avx512_rbf_exp_args, &avx512_affine_args,
-    &avx512_poly_transform, &avx512_exp_inplace, &avx512_tanh_inplace};
+    "avx512",
+    &avx512_rbf_exp_args,
+    &avx512_affine_args,
+    &avx512_poly_transform,
+    &avx512_exp_inplace<false>,
+    &avx512_tanh_inplace<false>,
+    &avx512_exp_inplace<true>,
+    &avx512_tanh_inplace<true>};
 
 #endif  // WTP_X86
 

@@ -352,7 +352,11 @@ TEST(Fault, ConnectDisconnectChurnLeavesServerHealthy) {
   // The kernel may silently drop queued connections whose peer reset
   // before accept(), so accepted can trail the connect count — but every
   // accepted connection must eventually be closed and accounted for.
-  EXPECT_GT(registry.counter("net.connections_accepted").value(), 0u);
+  // The event loop may not have accepted anything yet when the churners
+  // finish, so the first accept is awaited, not read once.
+  EXPECT_TRUE(eventually([&registry] {
+    return registry.counter("net.connections_accepted").value() > 0u;
+  }));
   EXPECT_TRUE(eventually([&registry] {
     return registry.counter("net.connections_closed").value() >=
            registry.counter("net.connections_accepted").value();

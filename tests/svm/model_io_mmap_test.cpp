@@ -200,7 +200,6 @@ TEST(ModelBlob, HeapViewMatchesBlobView) {
   backends.emplace_back("csr");
 
   for (const auto& model : models) {
-    // Blobs carry their bitset section only when written with the plane on.
     set_kernel_backend_for_testing(backends.front());
     std::vector<std::byte> blob;
     append_model_blob(blob, model);
@@ -267,6 +266,34 @@ TEST(ModelBlob, HeapViewMatchesBlobView) {
         EXPECT_EQ(fallbacks.value(), fallbacks_before);
       }
     }
+  }
+}
+
+/// A blob's bytes depend on the model, not on the kernel backend of the
+/// process that wrote it: csr (bitset plane off) writes the same bitset
+/// section as every SIMD backend.  Each backend trains its own model, so
+/// the lazily built bitset is first built under that backend.
+TEST(ModelBlob, BytesIndependentOfKernelBackend) {
+  const ExactTierGuard guard;
+  std::vector<std::string_view> backends{"csr"};
+  for (const auto name : supported_kernel_backends()) backends.push_back(name);
+  std::vector<std::byte> reference_one_class;
+  std::vector<std::byte> reference_svdd;
+  for (const auto backend : backends) {
+    set_kernel_backend_for_testing(backend);
+    std::vector<std::byte> one_class;
+    append_model_blob(one_class, make_binary_one_class(15));
+    std::vector<std::byte> svdd;
+    append_model_blob(svdd, make_binary_svdd(16));
+    EXPECT_TRUE(view_model_blob(one_class).has_bitset) << backend;
+    EXPECT_TRUE(view_model_blob(svdd).has_bitset) << backend;
+    if (reference_one_class.empty()) {
+      reference_one_class = std::move(one_class);
+      reference_svdd = std::move(svdd);
+      continue;
+    }
+    EXPECT_TRUE(one_class == reference_one_class) << backend;
+    EXPECT_TRUE(svdd == reference_svdd) << backend;
   }
 }
 

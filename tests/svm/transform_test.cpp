@@ -1,5 +1,10 @@
-// Transform plane (DESIGN §14): adversarial exact-tier edges and the
-// relaxed tier's contracts.
+// Transform plane (DESIGN §14): the in-repo exp/tanh, adversarial
+// exact-tier edges, and the relaxed tier's contracts.
+//
+// In-repo exp/tanh (svm/exp_body.inc): dense sweeps against libm over
+// [-745, 710] report the max ULP (exp <= 1, tanh <= 4), the specials and
+// cut points match libm, and every backend's vector stamp is bit-identical
+// to the scalar stamp, tails included.
 //
 // Exact tier: kernel_transform must equal per-pair kernel_eval BITWISE on
 // every dispatched backend, including the hostile inputs the clamp and the
@@ -7,23 +12,24 @@
 // sq_dist == 0, denormal dots, and ±inf/NaN propagation.
 //
 // Relaxed tier: opt-in only (mode plumbing tested here), documented
-// max-ULP bounds (exp <= 4, tanh <= 8 — see svm/relaxed_math.h) verified
-// against libm on every backend, specials preserved, and training pinned
-// to the exact tier regardless of the process mode.
+// max-ULP bounds (exp <= 4, tanh <= 8) verified against libm on every
+// backend, specials preserved, and training pinned to the exact tier
+// regardless of the process mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <limits>
 #include <vector>
 
 #include "svm/kernel.h"
+#include "svm/kernel_backends.h"
 #include "svm/kernel_scalar_body.h"
 #include "svm/one_class_svm.h"
-#include "svm/relaxed_math.h"
 #include "util/feature_matrix.h"
 #include "util/rng.h"
 #include "util/sparse_vector.h"
@@ -54,6 +60,172 @@ std::uint64_t ulp_distance(double a, double b) {
   const std::int64_t ka = key(a);
   const std::int64_t kb = key(b);
   return static_cast<std::uint64_t>(ka > kb ? ka - kb : kb - ka);
+}
+
+/// A supported backend's vector stamps, applied in place.
+using InplaceFn = void (*)(double*, std::size_t);
+
+/// Max ULP distance of `fn` from `libm` over `n + 1` evenly spaced points
+/// of [lo, hi]; NaN/inf mismatches count as an unbounded distance.
+std::uint64_t max_ulp_sweep(double (*fn)(double), double (*libm)(double),
+                            double lo, double hi, std::size_t n,
+                            double* worst_x) {
+  std::uint64_t worst = 0;
+  for (std::size_t i = 0; i <= n; ++i) {
+    const double x = lo + (hi - lo) * (static_cast<double>(i) /
+                                       static_cast<double>(n));
+    const double want = libm(x);
+    const double got = fn(x);
+    const std::uint64_t ulps =
+        std::isfinite(want) == std::isfinite(got)
+            ? (std::isfinite(want) ? ulp_distance(want, got)
+                                   : (bits(want) == bits(got) ? 0 : ~0ULL))
+            : ~0ULL;
+    if (ulps > worst) {
+      worst = ulps;
+      *worst_x = x;
+    }
+  }
+  return worst;
+}
+
+double libm_exp(double x) { return std::exp(x); }
+double libm_tanh(double x) { return std::tanh(x); }
+
+/// The in-repo exp is within 1 ULP of libm over the whole finite-result
+/// range, subnormal outputs included (4M points; the bound also held over
+/// 110M points in development).
+TEST(Transform, KernelExpWithinOneUlpOfLibm) {
+  double worst_x = 0.0;
+  const std::uint64_t worst = max_ulp_sweep(
+      &detail::kernel_exp, &libm_exp, -745.2, 710.0, 4'000'000, &worst_x);
+  std::printf("kernel_exp: max %llu ULP of libm over [-745.2, 710] (x=%.17g)\n",
+              static_cast<unsigned long long>(worst), worst_x);
+  RecordProperty("max_ulp", static_cast<int>(std::min<std::uint64_t>(worst, 1000)));
+  EXPECT_LE(worst, 1u) << "x=" << worst_x;
+  // The subnormal-output band alone, densely: one rounding into the
+  // subnormal format, never two.
+  const std::uint64_t sub = max_ulp_sweep(&detail::kernel_exp, &libm_exp,
+                                          -745.2, -708.3, 1'000'000, &worst_x);
+  EXPECT_LE(sub, 1u) << "x=" << worst_x;
+}
+
+/// The in-repo tanh holds its documented 4 ULP bound (the relaxed tier's
+/// is 8): densely over the working range, both branches and the cutover,
+/// and across [-745, 710] where it saturates to ±1.
+TEST(Transform, KernelTanhWithinFourUlpOfLibm) {
+  double worst_x = 0.0;
+  std::uint64_t worst = max_ulp_sweep(&detail::kernel_tanh, &libm_tanh, -20.0,
+                                      20.0, 4'000'000, &worst_x);
+  double wide_x = 0.0;
+  const std::uint64_t wide = max_ulp_sweep(
+      &detail::kernel_tanh, &libm_tanh, -745.0, 710.0, 1'000'000, &wide_x);
+  if (wide > worst) {
+    worst = wide;
+    worst_x = wide_x;
+  }
+  std::printf("kernel_tanh: max %llu ULP of libm (x=%.17g)\n",
+              static_cast<unsigned long long>(worst), worst_x);
+  RecordProperty("max_ulp", static_cast<int>(std::min<std::uint64_t>(worst, 1000)));
+  EXPECT_LE(worst, 4u) << "x=" << worst_x;
+}
+
+/// The largest x whose exp is finite (ln DBL_MAX rounded down).
+constexpr double kLargestFinite = 709.78271289338397;
+
+/// Specials and cut points: each result equals libm's bit for bit.
+TEST(Transform, KernelExpTanhSpecialsMatchLibm) {
+  const double min_normal = std::numeric_limits<double>::min();
+  const double exp_cases[] = {
+      0.0, -0.0, kInf, -kInf,
+      kLargestFinite, std::nextafter(kLargestFinite, kInf),  // overflow cut
+      detail::kExpHi, 709.0, 1e300, -1e300,
+      -708.39641853226408,                   // exp(x) = DBL_MIN
+      std::nextafter(-708.39641853226408, -kInf),  // first subnormal
+      -720.0, -740.0,
+      -745.1332191019411,   // exp(x) rounds up to the smallest subnormal
+      -745.13321910194122,  // exp(x) = 2^-1075, a tie that rounds to 0
+      detail::kExpLo, std::nextafter(detail::kExpLo, -kInf), -800.0,
+      1e-300, -1e-300, std::numeric_limits<double>::denorm_min()};
+  for (const double x : exp_cases) {
+    EXPECT_EQ(bits(detail::kernel_exp(x)), bits(std::exp(x)))
+        << "exp x=" << x << " got=" << detail::kernel_exp(x)
+        << " want=" << std::exp(x);
+  }
+  EXPECT_LT(std::exp(-708.5), min_normal);  // the case list reaches subnormals
+  EXPECT_TRUE(std::isnan(detail::kernel_exp(kNan)));
+  EXPECT_TRUE(std::isnan(detail::kernel_exp(-kNan)));
+  const double tanh_cases[] = {0.0,   -0.0,  kInf,  -kInf, detail::kTanhSmall,
+                               -detail::kTanhSmall,
+                               std::nextafter(detail::kTanhSmall, 0.0),
+                               1e-300, -1e-300,
+                               std::numeric_limits<double>::denorm_min(),
+                               19.0,  -19.0, 400.0, -400.0, 1e300};
+  for (const double x : tanh_cases) {
+    EXPECT_LE(ulp_distance(detail::kernel_tanh(x), std::tanh(x)), 4u)
+        << "tanh x=" << x;
+  }
+  for (const double x : {0.0, -0.0, kInf, -kInf, 1e-300, -1e-300, 400.0}) {
+    EXPECT_EQ(bits(detail::kernel_tanh(x)), bits(std::tanh(x))) << x;
+  }
+  EXPECT_TRUE(std::isnan(detail::kernel_tanh(kNan)));
+}
+
+/// Inputs for the cross-backend identity check: the working ranges, the
+/// whole finite range, cut points and specials.
+std::vector<double> stamp_args() {
+  std::vector<double> args;
+  util::Rng rng{90210};
+  for (std::size_t i = 0; i < 3000; ++i) {
+    args.push_back(-rng.uniform() * 60.0);
+    args.push_back((rng.uniform() - 0.5) * 1460.0);
+    args.push_back((rng.uniform() - 0.5) * 2.0);
+    args.push_back(-708.0 - rng.uniform() * 37.3);  // subnormal results
+  }
+  const double edges[] = {0.0,   -0.0, kInf, -kInf, kNan, -kNan,
+                          kLargestFinite, std::nextafter(kLargestFinite, kInf),
+                          detail::kExpHi, detail::kExpLo, -745.1332191019411,
+                          -720.0,
+                          detail::kTanhSmall, -detail::kTanhSmall, 1e300,
+                          -1e300, std::numeric_limits<double>::denorm_min()};
+  args.insert(args.end(), std::begin(edges), std::end(edges));
+  return args;
+}
+
+/// Every backend's exact exp/tanh stamp equals the scalar stamp bit for bit
+/// — full vectors and every tail length 1–15 (the AVX2 scalar tail, the
+/// AVX-512 masked tail), from unaligned starts.
+TEST(Transform, ExpTanhStampsBitIdenticalAcrossBackends) {
+  const std::vector<double> args = stamp_args();
+  std::vector<double> buf(args.size() + 1);
+  for (const auto& backend : detail::transform_backends()) {
+    if (!backend.supported()) continue;
+    const detail::TransformOps& ops = *backend.ops;
+    const std::pair<InplaceFn, double (*)(double)> stamps[] = {
+        {ops.exp_inplace, &detail::kernel_exp},
+        {ops.tanh_inplace, &detail::kernel_tanh}};
+    for (const auto& [vector_fn, scalar_fn] : stamps) {
+      for (std::size_t len = 1; len <= 40; ++len) {
+        for (std::size_t start = 0; start + len <= args.size(); start += 97) {
+          double* data = buf.data() + 1;  // odd offset: unaligned loads
+          std::copy_n(args.begin() + static_cast<std::ptrdiff_t>(start), len,
+                      data);
+          vector_fn(data, len);
+          for (std::size_t j = 0; j < len; ++j) {
+            ASSERT_EQ(bits(scalar_fn(args[start + j])), bits(data[j]))
+                << ops.name << " len=" << len << " x=" << args[start + j];
+          }
+        }
+      }
+      // One long call: the main loop over every argument at once.
+      std::copy(args.begin(), args.end(), buf.begin());
+      vector_fn(buf.data(), args.size());
+      for (std::size_t j = 0; j < args.size(); ++j) {
+        ASSERT_EQ(bits(scalar_fn(args[j])), bits(buf[j]))
+            << ops.name << " x=" << args[j];
+      }
+    }
+  }
 }
 
 /// Dense two-entry vectors so dots/norms are exactly the values we pick.
@@ -222,30 +394,46 @@ std::vector<double> exp_args() {
   return args;
 }
 
-/// relaxed_exp (scalar stamp) within its documented bound of std::exp:
-/// <= 4 ULP for normal results, one extra double-rounding allowed in the
-/// subnormal range.
-TEST(Transform, RelaxedExpUlpBound) {
-  std::uint64_t worst = 0;
-  for (const double x : exp_args()) {
-    const double want = std::exp(x);
-    const double got = detail::relaxed_exp(x);
-    const bool subnormal = want < std::numeric_limits<double>::min();
-    const std::uint64_t ulps = ulp_distance(want, got);
-    ASSERT_LE(ulps, subnormal ? 8u : 4u)
-        << "x=" << x << " want=" << want << " got=" << got;
-    if (!subnormal) worst = std::max(worst, ulps);
-  }
-  // The bound is not vacuous: the approximation really is tight.
-  EXPECT_LE(worst, 4u);
-  EXPECT_EQ(detail::relaxed_exp(kInf), kInf);
-  EXPECT_EQ(detail::relaxed_exp(-kInf), 0.0);
-  EXPECT_TRUE(std::isnan(detail::relaxed_exp(kNan)));
-  EXPECT_EQ(detail::relaxed_exp(800.0), kInf);
-  EXPECT_EQ(detail::relaxed_exp(-800.0), 0.0);
+/// Applies `fn` to a copy of `args` and returns the result.
+std::vector<double> run_inplace(InplaceFn fn, const std::vector<double>& args) {
+  std::vector<double> out = args;
+  fn(out.data(), out.size());
+  return out;
 }
 
-/// relaxed_tanh within <= 8 ULP of std::tanh, both branches and specials.
+/// Every backend's relaxed exp stamp within its documented bound of
+/// std::exp: <= 4 ULP for normal results, one extra double-rounding allowed
+/// in the subnormal range.
+TEST(Transform, RelaxedExpUlpBound) {
+  const std::vector<double> args = exp_args();
+  for (const auto& backend : detail::transform_backends()) {
+    if (!backend.supported()) continue;
+    const std::vector<double> got =
+        run_inplace(backend.ops->relaxed_exp_inplace, args);
+    std::uint64_t worst = 0;
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      const double want = std::exp(args[i]);
+      const bool subnormal = want < std::numeric_limits<double>::min();
+      const std::uint64_t ulps = ulp_distance(want, got[i]);
+      ASSERT_LE(ulps, subnormal ? 8u : 4u)
+          << backend.ops->name << " x=" << args[i] << " want=" << want
+          << " got=" << got[i];
+      if (!subnormal) worst = std::max(worst, ulps);
+    }
+    EXPECT_LE(worst, 4u) << backend.ops->name;
+    const std::vector<double> specials =
+        run_inplace(backend.ops->relaxed_exp_inplace,
+              {kInf, -kInf, kNan, 800.0, -800.0});
+    EXPECT_EQ(specials[0], kInf);
+    EXPECT_EQ(specials[1], 0.0);
+    EXPECT_TRUE(std::isnan(specials[2]));
+    EXPECT_EQ(specials[3], kInf);
+    EXPECT_EQ(specials[4], 0.0);
+  }
+}
+
+/// Every backend's relaxed tanh within <= 8 ULP of std::tanh, both
+/// branches and specials.
 TEST(Transform, RelaxedTanhUlpBound) {
   util::Rng rng{78};
   std::vector<double> args;
@@ -259,17 +447,22 @@ TEST(Transform, RelaxedTanhUlpBound) {
                           20.0,  -20.0, 400.0,     -400.0, 0.0,
                           -0.0,  1.0,   -1.0};
   args.insert(args.end(), std::begin(edges), std::end(edges));
-  for (const double x : args) {
-    const double want = std::tanh(x);
-    const double got = detail::relaxed_tanh(x);
-    ASSERT_LE(ulp_distance(want, got), 8u)
-        << "x=" << x << " want=" << want << " got=" << got;
+  for (const auto& backend : detail::transform_backends()) {
+    if (!backend.supported()) continue;
+    const std::vector<double> got =
+        run_inplace(backend.ops->relaxed_tanh_inplace, args);
+    for (std::size_t i = 0; i < args.size(); ++i) {
+      ASSERT_LE(ulp_distance(std::tanh(args[i]), got[i]), 8u)
+          << backend.ops->name << " x=" << args[i] << " got=" << got[i];
+    }
+    const std::vector<double> specials =
+        run_inplace(backend.ops->relaxed_tanh_inplace, {kInf, -kInf, kNan, 0.0, -0.0});
+    EXPECT_EQ(specials[0], 1.0);
+    EXPECT_EQ(specials[1], -1.0);
+    EXPECT_TRUE(std::isnan(specials[2]));
+    EXPECT_EQ(bits(specials[3]), bits(0.0));
+    EXPECT_EQ(bits(specials[4]), bits(-0.0));
   }
-  EXPECT_EQ(detail::relaxed_tanh(kInf), 1.0);
-  EXPECT_EQ(detail::relaxed_tanh(-kInf), -1.0);
-  EXPECT_TRUE(std::isnan(detail::relaxed_tanh(kNan)));
-  EXPECT_EQ(bits(detail::relaxed_tanh(0.0)), bits(0.0));
-  EXPECT_EQ(bits(detail::relaxed_tanh(-0.0)), bits(-0.0));
 }
 
 /// The SIMD relaxed stamps (through kernel_transform under kRelaxed) hold
