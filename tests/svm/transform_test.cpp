@@ -422,8 +422,7 @@ TEST(Transform, RelaxedExpUlpBound) {
     }
     EXPECT_LE(worst, 4u) << backend.ops->name;
     const std::vector<double> specials =
-        run_inplace(backend.ops->relaxed_exp_inplace,
-              {kInf, -kInf, kNan, 800.0, -800.0});
+        run_inplace(backend.ops->relaxed_exp_inplace, {kInf, -kInf, kNan, 800.0, -800.0});
     EXPECT_EQ(specials[0], kInf);
     EXPECT_EQ(specials[1], 0.0);
     EXPECT_TRUE(std::isnan(specials[2]));
